@@ -207,7 +207,7 @@ def _initial_field(cfg: ExperimentConfig, grid: SpaceTimeGrid) -> np.ndarray:
             cfg.initial_value or 1.0
         )
     if cfg.initial_kind == "boundary":
-        return cfg.solve_config.boundary.evaluate(grid, grid.t_start)
+        return cfg.solve_config.boundary.evaluate(grid, grid.t_start, cfg.solve_config.p)
     raise ConfigError("solve.initial.kind", f"unsupported kind {cfg.initial_kind!r}")
 
 

@@ -202,6 +202,18 @@ class RescaledProblem:
     certificates: dict = field(default_factory=dict)
 
 
+def _snap_onto(x, lo: float, hi: float):
+    """Move coordinates that overshoot [lo, hi] by a few ulps onto the edge.
+
+    A cylinder clipped by the domain reaches its edge as anchor + scale * y,
+    which rounding can leave just outside; anything farther out is left
+    alone, so the interpolator still rejects it.
+    """
+    tol = 8.0 * np.spacing(max(abs(lo), abs(hi)))
+    x = np.where((x < lo) & (x >= lo - tol), lo, x)
+    return np.where((x > hi) & (x <= hi + tol), hi, x)
+
+
 def _resample(
     u: GridFunction,
     anchor_x: np.ndarray,
@@ -233,9 +245,12 @@ def _resample(
     ts = new_grid.times()
     vals = np.empty(new_grid.shape)
     interp = u._interpolator()
-    flat_space = np.stack([(anchor_x[i] + space_scale * m).ravel() for i, m in enumerate(mesh)], axis=1)
-    for j, s in enumerate(ts):
-        t_src = anchor_t + time_scale * s
+    axis = g.axis_nodes()
+    flat_space = np.stack([_snap_onto((anchor_x[i] + space_scale * m).ravel(), axis[0], axis[-1])
+                           for i, m in enumerate(mesh)], axis=1)
+    src_times = g.times()
+    t_srcs = _snap_onto(anchor_t + time_scale * ts, src_times[0], src_times[-1])
+    for j, t_src in enumerate(t_srcs):
         pts = np.concatenate([np.full((flat_space.shape[0], 1), t_src), flat_space], axis=1)
         vals[j] = (amplitude * (interp(pts) - offset)).reshape(new_grid.spatial_shape)
     return GridFunction(new_grid, vals)
@@ -342,9 +357,10 @@ def rescale_outside(
         - (params.n * (0.0 if math.isinf(params.q) else 1.0 / params.q)
            + gamma * (0.0 if math.isinf(params.r) else 1.0 / params.r))
     )
-    grad_v = v.gradient_at(np.zeros(grid.n), 0.0)
+    s0 = float(v.grid.times()[-1])  # s = 0 up to rounding, which may put 0.0 off the grid
+    grad_v = v.gradient_at(np.zeros(grid.n), s0)
     certificates = {
-        "v_at_origin": v.value_at(np.zeros(grid.n), 0.0),
+        "v_at_origin": v.value_at(np.zeros(grid.n), s0),
         "grad_v_at_origin": float(np.sqrt(np.sum(grad_v * grad_v))),
         "source_exponent": source_exponent,
     }

@@ -2,9 +2,11 @@
 
 The default scheme is semi-implicit: the diffusivity is lagged one step,
 (|grad u_old|^2 + eps^2)^((p-2)/2), and each step solves one symmetric
-positive definite linear system by diagonally preconditioned conjugate
-gradients. An explicit scheme is available behind a CFL guard. Dirichlet
-data only; the theory being exercised is interior.
+positive definite linear system. In 1D that system is tridiagonal and is
+solved directly by cyclic reduction; in 2D and 3D it is solved by
+diagonally preconditioned conjugate gradients, to the tolerance newton_tol
+within max_inner_iters iterations. An explicit scheme is available behind a
+CFL guard. Dirichlet data only; the theory being exercised is interior.
 
 Alongside the solver live its verification surfaces: reference solutions
 (heat eigenmode, compactly supported self-similar profile for p > 2), the
@@ -58,8 +60,13 @@ class BoundarySpec:
     name: str = ""
     fn: object = None
 
-    def evaluate(self, grid: SpaceTimeGrid, t: float) -> np.ndarray:
-        mesh = grid.meshgrid()
+    @property
+    def time_dependent(self) -> bool:
+        return self.kind in ("reference", "custom")
+
+    def evaluate(self, grid: SpaceTimeGrid, t: float, p: float | None = None) -> np.ndarray:
+        """Boundary values on every node of the slice at time t; p selects the
+        Barenblatt profile of kind "reference"."""
         if self.kind == "zero":
             return np.zeros(grid.spatial_shape)
         if self.kind == "constant":
@@ -67,19 +74,23 @@ class BoundarySpec:
         if self.kind == "affine":
             grad = self.gradient or (0.0,) * grid.n
             out = np.full(grid.spatial_shape, float(self.value))
-            for g, m in zip(grad, mesh):
+            for g, m in zip(grad, grid.meshgrid()):
                 out = out + g * m
             return out
         if self.kind == "reference":
-            return _reference_slice(self.name, grid, t)
+            return _reference_slice(self.name, grid, t, p)
         if self.kind == "custom":
-            return np.asarray(self.fn(*mesh, t), dtype=float)
+            return np.asarray(self.fn(*grid.meshgrid(), t), dtype=float)
         raise ValueError(f"unknown boundary kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Scheme parameters; eps_reg = None means eps = h at solve time."""
+    """Scheme parameters; eps_reg = None means eps = h at solve time.
+
+    newton_tol and max_inner_iters govern the conjugate-gradient solve of
+    the semi-implicit scheme in 2D and 3D; 1D steps are solved directly.
+    """
 
     p: float
     eps_reg: float | None = None
@@ -119,6 +130,10 @@ class SourceSpec:
     q: float = INF
     r: float = INF
 
+    def __post_init__(self):
+        if not (1.0 <= self.q <= INF and 1.0 <= self.r <= INF):
+            raise ValueError(f"source exponents q = {self.q}, r = {self.r} must lie in [1, inf]")
+
     def certificate_ok(self, n: int) -> bool:
         if self.kind != "separable_power":
             return True
@@ -145,6 +160,13 @@ def make_source(spec: SourceSpec, grid: SpaceTimeGrid, require_certificate: bool
     exponents, so the attached norm is the faithful quadrature of the
     singular integrand.
     """
+    f = _source_field(spec, grid, require_certificate)
+    norm = anisotropic_norm(f, spec.q, spec.r, full_domain_region(grid))
+    return SourceField(field=f, norm_qr=norm, spec=spec)
+
+
+def _source_field(spec: SourceSpec, grid: SpaceTimeGrid, require_certificate: bool = True) -> GridFunction:
+    """The nodal values of make_source, without the norm."""
     if spec.kind == "tabulated":
         if spec.table is None or spec.table.grid != grid:
             raise ValueError("tabulated source needs a table on the same grid")
@@ -162,8 +184,7 @@ def make_source(spec: SourceSpec, grid: SpaceTimeGrid, require_certificate: bool
         f = _separable_power_field(spec, grid)
     else:
         raise ValueError(f"unknown source kind {spec.kind!r}")
-    norm = anisotropic_norm(f, spec.q, spec.r, full_domain_region(grid))
-    return SourceField(field=f, norm_qr=norm, spec=spec)
+    return f
 
 
 def _separable_power_field(spec: SourceSpec, grid: SpaceTimeGrid) -> GridFunction:
@@ -264,6 +285,101 @@ def _pcg(apply_a, b, x0, diag, rtol, maxiter):
     )
 
 
+def _tridiag_factor(diag: np.ndarray, off: np.ndarray) -> list:
+    """Cyclic-reduction factor of a symmetric tridiagonal matrix (Hockney 1965).
+
+    diag holds the n main-diagonal entries and off the n - 1 entries beside
+    it. The system is padded with identity rows to 2^k - 1 unknowns; each of
+    the k levels eliminates every other remaining unknown in a few vectorised
+    operations. A level is (reciprocal pivots of the eliminated rows, their
+    multipliers towards the right and left kept neighbour). Raises
+    SolverError unless every pivot is positive and finite, which for a step
+    matrix of this solver fails only on non-finite input.
+    """
+    n = diag.size
+    size = (1 << n.bit_length()) - 1
+    b = np.ones(size)
+    b[:n] = diag
+    f = np.zeros(size - 1)  # negated off-diagonal
+    f[:n - 1] = -off
+    inv = np.empty(size)  # the reciprocal pivots of all levels, packed
+    levels = []
+    start = 0
+    while b.size:
+        piv_inv = np.divide(1.0, b[::2], out=inv[start:start + (b.size + 1) // 2])
+        start += piv_inv.size
+        f_lo, f_hi = f[0::2], f[1::2]
+        lo = f_lo * piv_inv[:-1]
+        hi = f_hi * piv_inv[1:]
+        levels.append((piv_inv, lo, hi))
+        b = b[1::2] - lo * f_lo - hi * f_hi
+        f = hi[:-1] * f_lo[1:]
+    if not (inv.min() > 0.0 and inv.max() < INF):
+        with np.errstate(divide="ignore"):
+            pivots = 1.0 / inv
+        bad = pivots[~(np.isfinite(pivots) & (pivots > 0.0))][0]
+        raise SolverError(f"tridiagonal pivot {bad:.6g} is not positive and finite")
+    return levels
+
+
+def _tridiag_solve(levels: list, rhs: np.ndarray) -> np.ndarray:
+    """Solve with a _tridiag_factor factor; raises SolverError on a non-finite solution.
+
+    Level j works in place on every 2^j-th row of the padded right-hand
+    side: forward elimination folds the eliminated rows into the kept ones,
+    back substitution recovers them from their solved neighbours.
+    """
+    n = rhs.size
+    d = np.zeros(2 * levels[0][0].size - 1)
+    d[:n] = rhs
+    stride = 1
+    for _, lo, hi in levels[:-1]:
+        rows = d[stride - 1::stride]
+        kept = rows[1::2]
+        kept += lo * rows[0:-1:2]
+        kept += hi * rows[2::2]
+        stride *= 2
+    for piv_inv, lo, hi in reversed(levels):
+        rows = d[stride - 1::stride]
+        elim, kept = rows[0::2], rows[1::2]
+        elim *= piv_inv
+        elim[:-1] += lo * kept
+        elim[1:] += hi * kept
+        stride //= 2
+    x = d[:n]
+    if not np.isfinite(x).all():
+        raise SolverError("tridiagonal solution is not finite")
+    return x
+
+
+def _march_tridiagonal(out: np.ndarray, f: np.ndarray, boundary_at, times: np.ndarray,
+                       h: float, dt: float, p: float, eps: float) -> None:
+    """1D semi-implicit march: fill out[1:] from out[0].
+
+    The step matrix I - dt div(D grad .) on the interior nodes is tridiagonal
+    with the face couplings c = dt D / h^2, so each step builds it once and
+    solves it directly. At p = 2 the diffusivity is identically 1 and the
+    first step's factor is reused.
+    """
+    u = out[0]
+    levels = None
+    for m in range(1, len(times)):
+        try:
+            if levels is None or p != 2.0:
+                c = (dt / (h * h)) * _face_diffusivities(u, h, p, eps)[0]
+                levels = _tridiag_factor(1.0 + c[:-1] + c[1:], -c[1:-1])
+            b = boundary_at(times[m])
+            rhs = u[1:-1] + dt * f[m, 1:-1]
+            rhs[0] += c[0] * b[0]
+            rhs[-1] += c[-1] * b[-1]
+            w = _tridiag_solve(levels, rhs)
+        except SolverError as exc:
+            raise SolverError(f"1D direct solve at step {m} (t = {times[m]:.6g}): {exc}") from None
+        u = out[m]
+        u[0], u[-1] = b[0], b[-1]
+        u[1:-1] = w
+
+
 def _boundary_frame_mask(shape: tuple[int, ...]) -> np.ndarray:
     mask = np.zeros(shape, dtype=bool)
     for ax in range(len(shape)):
@@ -284,25 +400,35 @@ def solve(
     """Time-march the regularized flow from `initial` under Dirichlet data.
 
     Semi-implicit: one SPD solve per step with the lagged diffusivity,
-    unconditionally stable, first order in dt and second in h. Explicit:
-    forward Euler, guarded by dt <= 0.9 h^2 / (2 n max D).
+    unconditionally stable, first order in dt and second in h; direct in 1D,
+    conjugate gradients to newton_tol within max_inner_iters in 2D and 3D.
+    Explicit: forward Euler, guarded by dt <= 0.9 h^2 / (2 n max D).
     """
     initial = np.asarray(initial, dtype=float)
     if initial.shape != grid.spatial_shape:
         raise ValueError(f"initial shape {initial.shape} != {grid.spatial_shape}")
     p = config.p
     eps = config.resolved_eps(grid)
-    src = make_source(source, grid).field
+    src = _source_field(source, grid)
     bmask = _boundary_frame_mask(grid.spatial_shape)
     inner = tuple(slice(1, -1) for _ in range(grid.n))
 
     times = grid.times()
+    boundary = config.boundary
+    fixed = None if boundary.time_dependent else boundary.evaluate(grid, times[0], p)
+
+    def boundary_at(t):
+        return fixed if fixed is not None else boundary.evaluate(grid, t, p)
+
     out = np.empty(grid.shape)
     u = initial.copy()
-    u[bmask] = config.boundary.evaluate(grid, times[0])[bmask]
+    u[bmask] = boundary_at(times[0])[bmask]
     out[0] = u
 
     h, dt = grid.h, grid.dt
+    if grid.n == 1 and config.scheme == "semi_implicit":
+        _march_tridiagonal(out, src.values, boundary_at, times, h, dt, p, eps)
+        return GridFunction(grid, out)
     for m in range(1, grid.num_times):
         faces = _face_diffusivities(u, h, p, eps)
         if config.scheme == "explicit":
@@ -314,9 +440,9 @@ def solve(
                     f"(max diffusivity {dmax:.3e})"
                 )
             u_new = u + dt * (_div_flux(u, faces, h) + src.values[m - 1])
-            u_new[bmask] = config.boundary.evaluate(grid, times[m])[bmask]
+            u_new[bmask] = boundary_at(times[m])[bmask]
         else:
-            b_new = config.boundary.evaluate(grid, times[m])
+            b_new = boundary_at(times[m])
             vb = np.zeros_like(u)
             vb[bmask] = b_new[bmask]
             rhs = (u + dt * src.values[m])[inner] + dt * _div_flux(vb, faces, h)[inner]

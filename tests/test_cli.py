@@ -99,6 +99,23 @@ def test_solve_exponent_round_trip_deterministic(tmp_path):
     assert (out1 / "solution.bin").read_bytes() == (out2 / "solution.bin").read_bytes()
 
 
+def test_solve_with_barenblatt_dirichlet_data(tmp_path):
+    # the exact profile as boundary and initial data; the box [-2, 2] lies
+    # inside its support, so the solution tracks it closely
+    from plaplab.solver import reference_solutions
+
+    cfg = json.loads(json.dumps(SOLVE_CFG))
+    cfg["params"].update(p=3.0, alpha_h=1.0)
+    cfg["grid"] = {"h": 0.0625, "dt": 0.00390625, "extent": 2.0, "t_start": 1.0, "t_end": 1.125}
+    cfg["solve"]["boundary"] = {"kind": "reference", "name": "barenblatt"}
+    cfg["solve"]["initial"] = {"kind": "boundary"}
+    out = tmp_path / "bb_out"
+    assert main(["solve", str(write_config(tmp_path, cfg)), "--out", str(out)]) == EXIT_OK
+    u = read_binary(out / "solution.bin")
+    exact = reference_solutions("barenblatt", 3.0, 1, u.grid)
+    assert np.max(np.abs(u.values - exact.values)) < 2e-3
+
+
 def test_probe_subcommand(tmp_path):
     # the full singular-source scenario at h = 1/256; the measured slope may
     # only undershoot the predicted growth exponent by the stated tolerance

@@ -262,6 +262,29 @@ def test_rescale_outside_affine_stays_affine_with_unit_gradient():
     assert out.certificates["grad_v_at_origin"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_rescale_outside_clipped_cylinders_stay_on_the_grid():
+    # the tau-cylinder of every center here is clipped by the domain in space
+    # or time, so the resampled grid reaches the domain edge; rounding used to
+    # put 8 of these 61 samples just outside the interpolator's grid
+    g = SpaceTimeGrid(n=1, extent=1.0, h=1 / 128, dt=2e-4, t_start=0.0, t_end=0.25)
+    u = GridFunction(g, 3.0 * reference_solutions("heat_mode", 2.0, 1, g).values)
+    params = ProblemParams(p=2.0, n=1, q=INF, r=4.0)
+    for x0 in np.linspace(-0.3, 0.3, 61):
+        out = rescale_outside(u, ((float(x0),), 0.25), params)
+        assert out.certificates["v_at_origin"] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_resample_still_rejects_points_off_the_grid():
+    from plaplab.cylinders import _resample
+
+    g = unit_grid(h=1 / 64, dt=1 / 256)
+    u = GridFunction.from_callable(g, lambda x, t: np.sin(np.pi * x))
+    with pytest.raises(ValueError):  # reaches x = 1.4, far past the edge x = 1
+        _resample(u, np.array([0.9]), 0.0, 1.0, 1.0, 1.0, 0.0, 0.5, 0.1)
+    with pytest.raises(ValueError):  # reaches s = -0.1 past t_start by 1e-9
+        _resample(u, np.array([0.0]), g.t_start + 0.1 - 1e-9, 1.0, 1.0, 1.0, 0.0, 0.5, 0.1)
+
+
 def test_rescale_outside_rejects_flat_center():
     g = unit_grid(h=1 / 64, dt=1 / 256)
     u = GridFunction(g, np.full(g.shape, 2.0))

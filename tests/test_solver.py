@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plaplab.grids import (
     GridFunction,
@@ -25,6 +32,7 @@ from plaplab.solver import (
     truncation_estimate,
     weak_residual,
 )
+from plaplab.solver import _tridiag_factor, _tridiag_solve
 
 
 def grid1d(h=1 / 32, dt=None, t_end=0.1, t_start=0.0, extent=1.0):
@@ -148,12 +156,77 @@ def test_explicit_scheme_matches_implicit_and_cfl_guard():
 
 
 def test_inner_solve_divergence_reports():
-    g = grid1d(h=1 / 16, dt=1 / 64, t_end=0.05)
+    # conjugate gradients run in 2D and 3D only; 1D steps are a direct solve
+    g = SpaceTimeGrid(n=2, extent=1.0, h=1 / 16, dt=1 / 64, t_start=0.0, t_end=3 / 64)
     cfg = SolveConfig(p=2.0, max_inner_iters=1, newton_tol=1e-14,
                       boundary=BoundarySpec(kind="zero"))
     rng = np.random.default_rng(0)
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverError, match="did not reach rtol"):
         solve(g, cfg, SourceSpec(kind="constant", c=1.0), rng.random(g.spatial_shape))
+
+
+@pytest.mark.parametrize("p, what", [(2.0, "solution is not finite"), (3.0, "pivot nan")])
+def test_direct_solve_reports_nan_initial_data(p, what):
+    # at p = 2 the diffusivity ignores the NaN and the step matrix stays
+    # sound, so the solution trips the guard; at p = 3 the pivots do
+    g = grid1d(h=1 / 16, dt=1 / 256, t_end=0.05)
+    init = np.zeros(g.spatial_shape)
+    init[5] = np.nan
+    with pytest.raises(SolverError, match=f"step 1 .*{what}"):
+        solve(g, SolveConfig(p=p), SourceSpec(kind="zero"), init)
+
+
+def _tridiagonal_system(n, seed, scale):
+    # the step matrix of the solver: face couplings c = dt D / h^2 > 0 with
+    # contrast up to 1e3 and magnitude up to 1e4; the rounding of the residual
+    # grows like eps * max c
+    rng = np.random.default_rng(seed)
+    c = scale * 10.0 ** rng.uniform(0.0, 3.0, n + 1)
+    return 1.0 + c[:-1] + c[1:], -c[1:-1], rng.standard_normal(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.one_of(st.integers(1, 1100), st.sampled_from([1, 2, 3, 4, 7, 8, 511, 512, 1023, 1024])),
+       seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(1e-3, 10.0))
+def test_tridiagonal_solve_matches_dense(n, seed, scale):
+    diag, off, rhs = _tridiagonal_system(n, seed, scale)
+    x = _tridiag_solve(_tridiag_factor(diag, off), rhs)
+    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    residual = np.linalg.norm(dense @ x - rhs) / np.linalg.norm(rhs)
+    assert residual <= 1e-12
+    exact = np.linalg.solve(dense, rhs)
+    assert np.linalg.norm(x - exact) <= 1e-10 * np.linalg.norm(exact)
+
+
+def test_tridiagonal_factor_rejects_bad_pivots():
+    with pytest.raises(SolverError, match="pivot"):
+        _tridiag_factor(np.array([1.0, -3.0, 1.0]), np.array([0.5, 0.5]))
+    with pytest.raises(SolverError, match="pivot"):
+        _tridiag_factor(np.array([1.0, np.inf, 1.0]), np.array([0.5, 0.5]))
+
+
+def test_1d_solve_does_not_import_scipy_linalg():
+    # importing scipy.linalg costs about 27 MB of resident memory
+    code = (
+        "import sys, numpy as np\n"
+        "from plaplab.grids import SpaceTimeGrid\n"
+        "from plaplab.solver import SolveConfig, SourceSpec, solve\n"
+        "g = SpaceTimeGrid(n=1, extent=1.0, h=1 / 32, dt=1 / 1024, t_start=0.0, t_end=1 / 64)\n"
+        "solve(g, SolveConfig(p=3.0), SourceSpec(kind='constant', c=1.0), np.zeros(g.spatial_shape))\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
+
+
+def test_source_exponents_must_lie_in_range():
+    for q, r in ((0.5, 2.0), (2.0, 0.0), (float("nan"), 2.0)):
+        with pytest.raises(ValueError):
+            SourceSpec(kind="zero", q=q, r=r)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +268,27 @@ def test_barenblatt_compact_support():
     assert rad < 4.0
     assert np.all(u.values[-1][np.abs(x) > rad + g.h] == 0.0)
     assert u.values[-1][np.abs(x) < 0.5].min() > 0.0
+
+
+def test_barenblatt_dirichlet_solve_second_order():
+    # the solver against the exact degenerate solution, with its time-dependent
+    # Dirichlet data: the box [-2, 2] lies inside the support. dt = h^2, so the
+    # error is O(h^2) on a window away from the central gradient cusp
+    p = 3.0
+    cfg = SolveConfig(p=p, boundary=BoundarySpec(kind="reference", name="barenblatt"))
+    errs = []
+    for h in (1 / 16, 1 / 32, 1 / 64):
+        g = SpaceTimeGrid(n=1, extent=2.0, h=h, dt=h * h, t_start=1.0, t_end=1.25)
+        exact = reference_solutions("barenblatt", p, 1, g)
+        u = solve(g, cfg, SourceSpec(kind="zero"), exact.values[0])
+        x = g.axis_nodes()
+        rad = barenblatt_support_radius(g.t_end, p, 1)
+        assert rad > g.extent and exact.values[-1][0] > 0.0
+        window = (np.abs(x) > 0.25 * rad) & (np.abs(x) < 0.5 * rad)
+        errs.append(float(np.max(np.abs(u.values[-1] - exact.values[-1])[window])))
+    order = np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
+    assert min(order) >= 1.7
+    assert errs[-1] < 1e-4
 
 
 def test_barenblatt_residual_first_order():
