@@ -21,7 +21,6 @@ from .grids import (
     SpaceTimeGrid,
     anisotropic_norm,
     energy_norm,
-    gradient,
     read_binary,
     steklov_average,
     sup_oscillation,

@@ -59,7 +59,7 @@ def _num(block: dict, key: str, path: str, required=True, default=None):
         if val.lower() in ("inf", "infinity"):
             return math.inf
         raise ConfigError(f"{path}.{key}", f"expected a number, got {val!r}")
-    if not isinstance(val, (int, float)):
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{path}.{key}", f"expected a number, got {type(val).__name__}")
     return float(val)
 

@@ -10,7 +10,8 @@ Two rescaling maps are provided: the sup-normalizing map (mu-scaling, puts
 any bounded solution below unit size with a delta-small source) and the
 gradient-scale map used away from the critical zone (tau-scaling, unit
 gradient at the origin). Both realize the rescaled fields by multilinear
-interpolation onto a fresh grid with the same node counts.
+interpolation onto a fresh grid with the same node counts, computed one
+axis at a time.
 
 Constructors and classifiers here are pure functions over immutable grid
 functions; unrestricted concurrency is safe.
@@ -31,6 +32,7 @@ from .grids import (
     SpaceTimeGrid,
     anisotropic_norm,
     full_domain_region,
+    locate_on_axis,
 )
 
 _SIGMA_THETA_TOL = 1e-9
@@ -207,7 +209,7 @@ def _snap_onto(x, lo: float, hi: float):
 
     A cylinder clipped by the domain reaches its edge as anchor + scale * y,
     which rounding can leave just outside; anything farther out is left
-    alone, so the interpolator still rejects it.
+    alone, so `locate_on_axis` still rejects it.
     """
     tol = 8.0 * np.spacing(max(abs(lo), abs(hi)))
     x = np.where((x < lo) & (x >= lo - tol), lo, x)
@@ -241,19 +243,20 @@ def _resample(
         t_start=-target_depth,
         t_end=0.0,
     )
-    mesh = new_grid.meshgrid()
-    ts = new_grid.times()
-    vals = np.empty(new_grid.shape)
-    interp = u._interpolator()
-    axis = g.axis_nodes()
-    flat_space = np.stack([_snap_onto((anchor_x[i] + space_scale * m).ravel(), axis[0], axis[-1])
-                           for i, m in enumerate(mesh)], axis=1)
-    src_times = g.times()
-    t_srcs = _snap_onto(anchor_t + time_scale * ts, src_times[0], src_times[-1])
-    for j, t_src in enumerate(t_srcs):
-        pts = np.concatenate([np.full((flat_space.shape[0], 1), t_src), flat_space], axis=1)
-        vals[j] = (amplitude * (interp(pts) - offset)).reshape(new_grid.spatial_shape)
-    return GridFunction(new_grid, vals)
+    # the target grid is a tensor product, so multilinear interpolation is
+    # linear interpolation along time and then along each spatial axis
+    targets = [anchor_t + time_scale * new_grid.times()]
+    targets += [anchor_x[a] + space_scale * y for a, y in enumerate(new_grid.spatial_axes())]
+    vals = u.values
+    for a, (src, coords) in enumerate(zip((g.times(),) + g.spatial_axes(), targets)):
+        lower, frac = locate_on_axis(src, _snap_onto(coords, src[0], src[-1]))
+        frac = frac.reshape((-1,) + (1,) * (g.n - a))
+        upper = np.take(vals, lower + 1, axis=a)
+        upper *= frac
+        vals = np.take(vals, lower, axis=a)
+        vals *= 1.0 - frac
+        vals += upper
+    return GridFunction(new_grid, amplitude * (vals - offset))
 
 
 def rescale_normalize(

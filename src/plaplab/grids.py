@@ -3,12 +3,16 @@
 Grids are node-centered Cartesian boxes [-extent, extent]^n crossed with a
 uniform time axis. Quadrature is midpoint in space (node weight h^n, with
 exact cell-overlap corrections at region boundaries where that is cheap)
-and trapezoid in time. Grid functions are immutable after construction;
-every operation here is pure.
+and trapezoid in time. Interpolation is multilinear in space-time and
+numpy-only: a point query weights the 2^(n+1) nodes of its cell, and a
+bulk resampling onto a tensor-product grid (see `locate_on_axis`)
+interpolates along one axis at a time. Grid functions are immutable after
+construction; every operation here is pure.
 """
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass
 
@@ -101,10 +105,12 @@ class GridFunction:
     """Scalar field sampled on every node of a SpaceTimeGrid.
 
     values has shape (num_times, nodes, ...) and is frozen on construction;
-    all entries must be finite. Interpolation is multilinear in space-time.
+    all entries must be finite. Point queries are multilinear in space-time
+    and read only the 2^(n+1) nodes of the cell around the point; the
+    gradient at those nodes follows gradient_slice.
     """
 
-    __slots__ = ("grid", "values", "_interp", "_grad_interp")
+    __slots__ = ("grid", "values")
 
     def __init__(self, grid: SpaceTimeGrid, values: np.ndarray):
         values = np.asarray(values, dtype=float)
@@ -116,8 +122,6 @@ class GridFunction:
         values.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_interp", None)
-        object.__setattr__(self, "_grad_interp", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GridFunction is immutable")
@@ -131,19 +135,21 @@ class GridFunction:
             vals[j] = fn(*mesh, t)
         return cls(grid, vals)
 
-    def _interpolator(self):
-        if self._interp is None:
-            from scipy.interpolate import RegularGridInterpolator
-
-            pts = (self.grid.times(),) + self.grid.spatial_axes()
-            rgi = RegularGridInterpolator(pts, self.values, method="linear",
-                                          bounds_error=True)
-            object.__setattr__(self, "_interp", rgi)
-        return self._interp
+    def _cell(self, x, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Node indices (n+1, 2^(n+1)) and multilinear weights of the
+        space-time cell holding (t, x); rejects points off the grid."""
+        pt = np.concatenate([[t], np.atleast_1d(np.asarray(x, dtype=float))])
+        if pt.size != self.grid.n + 1:
+            raise ValueError(f"expected {self.grid.n} coordinates, got {pt.size - 1}")
+        axes = (self.grid.times(),) + self.grid.spatial_axes()
+        lower, frac = map(np.array, zip(*(locate_on_axis(ax, c) for ax, c in zip(axes, pt))))
+        corners = np.array(list(itertools.product((0, 1), repeat=pt.size))).T
+        weights = np.prod(np.where(corners == 1, frac[:, None], 1.0 - frac[:, None]), axis=0)
+        return lower[:, None] + corners, weights
 
     def value_at(self, x, t: float) -> float:
-        pt = np.concatenate([[t], np.atleast_1d(np.asarray(x, dtype=float))])
-        return float(self._interpolator()(pt)[0])
+        idx, weights = self._cell(x, t)
+        return float(weights @ self.values[tuple(idx)])
 
     def slice(self, it: int) -> np.ndarray:
         return self.values[it]
@@ -174,30 +180,32 @@ class GridFunction:
             g[axis] = (u[tuple(up)] - u[tuple(dn)]) / (2.0 * self.grid.h)
         return g
 
-    def _gradient_interpolator(self):
-        if self._grad_interp is None:
-            from scipy.interpolate import RegularGridInterpolator
-
-            grads = np.empty((self.grid.n,) + self.grid.shape)
-            for j in range(self.grid.num_times):
-                grads[:, j] = self.gradient_slice(j)
-            pts = (self.grid.times(),) + self.grid.spatial_axes()
-            rgis = tuple(
-                RegularGridInterpolator(pts, grads[a], method="linear", bounds_error=True)
-                for a in range(self.grid.n)
-            )
-            object.__setattr__(self, "_grad_interp", rgis)
-        return self._grad_interp
-
     def gradient_at(self, x, t: float) -> np.ndarray:
-        """Multilinear interpolation of the node gradient field."""
-        pt = np.concatenate([[t], np.atleast_1d(np.asarray(x, dtype=float))])
-        return np.array([float(rgi(pt)[0]) for rgi in self._gradient_interpolator()])
+        """Multilinear interpolation of the node gradients of gradient_slice."""
+        idx, weights = self._cell(x, t)
+        last = self.grid.nodes_per_axis - 1
+        out = np.empty(self.grid.n)
+        for a in range(1, self.grid.n + 1):  # idx row 0 is time
+            up, dn = idx.copy(), idx.copy()
+            up[a] = np.minimum(idx[a] + 1, last)
+            dn[a] = np.maximum(idx[a] - 1, 0)
+            diff = self.values[tuple(up)] - self.values[tuple(dn)]
+            out[a - 1] = weights @ (diff / ((up[a] - dn[a]) * self.grid.h))
+        return out
 
 
-def gradient(u: GridFunction, ix: tuple[int, ...], it: int) -> np.ndarray:
-    """Spatial gradient at a space-time node; rejects boundary nodes."""
-    return u.gradient_at_node(ix, it)
+def locate_on_axis(axis: np.ndarray, coords) -> tuple[np.ndarray, np.ndarray]:
+    """Lower node index and fractional offset of coordinates on a node axis.
+
+    A coordinate c lies in the cell [axis[i], axis[i + 1]] with offset
+    (c - axis[i]) / (axis[i + 1] - axis[i]); the last cell holds the upper
+    edge. Any coordinate off [axis[0], axis[-1]] raises ValueError.
+    """
+    coords = np.asarray(coords, dtype=float)
+    if not np.all((axis[0] <= coords) & (coords <= axis[-1])):
+        raise ValueError(f"coordinates reach off the grid axis [{axis[0]}, {axis[-1]}]")
+    lower = np.minimum(np.searchsorted(axis, coords, side="right") - 1, axis.size - 2)
+    return lower, (coords - axis[lower]) / (axis[lower + 1] - axis[lower])
 
 
 @dataclass(frozen=True)
@@ -416,22 +424,24 @@ def sup_oscillation(
     if not region.contains_point(x0, t0, grid):
         raise ValueError("center must lie inside the region")
     sw = region.space_mask(grid)
+    if not sw.any():
+        raise ValueError("region contains no spatial nodes")
     idx = region.time_indices(grid)
+    # the region's slices are contiguous; crop space to the mask's bounding box
+    box = tuple(slice(int(np.min(k)), int(np.max(k)) + 1) for k in np.nonzero(sw))
+    block = u.values[(slice(idx[0], idx[-1] + 1),) + box]
+    inside = sw[box]
+    # at each node, fl(fl(v - ref) - plane) is monotone in v, so its largest
+    # magnitude over time sits at the node's max or min over time: reducing
+    # over time first gives the same float as the whole block would
+    extremes = np.stack([block.max(axis=0)[inside], block.min(axis=0)[inside]])
     if affine_part is None:
-        ref = u.value_at(x0, t0)
-        plane = None
-    else:
-        ref, grad_vec = affine_part
-        grad_vec = np.asarray(grad_vec, dtype=float)
-        mesh = grid.meshgrid()
-        plane = sum(g * (m - c) for g, m, c in zip(grad_vec, mesh, x0))
-    best = 0.0
-    for j in idx:
-        dev = u.values[j] - ref
-        if plane is not None:
-            dev = dev - plane
-        best = max(best, float(np.max(np.abs(dev[sw]))))
-    return best
+        return float(np.max(np.abs(extremes - u.value_at(x0, t0))))
+    ref, grad_vec = affine_part
+    grad_vec = np.asarray(grad_vec, dtype=float)
+    mesh = np.meshgrid(*[ax[b] for ax, b in zip(grid.spatial_axes(), box)], indexing="ij")
+    plane = sum(g * (m - c) for g, m, c in zip(grad_vec, mesh, x0))
+    return float(np.max(np.abs(extremes - ref - plane[inside])))
 
 
 # ---------------------------------------------------------------------------
@@ -481,14 +491,14 @@ def initial_slice_mean_power(dt: float, m: float) -> float:
 
 _MAGIC = b"PLGF"
 _VERSION = 1
+_HEADER = struct.Struct("<4si i i d d d d d")
 
 
 def write_binary(u: GridFunction, path) -> None:
     """Flat little-endian layout: header then node values, row-major space,
     time-major order."""
     g = u.grid
-    header = struct.pack(
-        "<4si i i d d d d d",
+    header = _HEADER.pack(
         _MAGIC,
         _VERSION,
         g.n,
@@ -505,16 +515,24 @@ def write_binary(u: GridFunction, path) -> None:
 
 
 def read_binary(path) -> GridFunction:
+    """Load a write_binary file; a short, long or inconsistent file raises
+    ValueError naming what it expected."""
     with open(path, "rb") as fh:
-        head = fh.read(struct.calcsize("<4si i i d d d d d"))
-        magic, version, n, _nt, extent, h, dt, t_start, t_end = struct.unpack(
-            "<4si i i d d d d d", head
-        )
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise ValueError(f"header needs {_HEADER.size} bytes, file has {len(head)}")
+        magic, version, n, nt, extent, h, dt, t_start, t_end = _HEADER.unpack(head)
         if magic != _MAGIC or version != _VERSION:
             raise ValueError("not a grid-function binary file")
         grid = SpaceTimeGrid(n=n, extent=extent, h=h, dt=dt, t_start=t_start, t_end=t_end)
-        payload = np.frombuffer(fh.read(), dtype="<f8").reshape(grid.shape)
-    return GridFunction(grid, payload)
+        if nt != grid.num_times:
+            raise ValueError(f"header counts {nt} time slices, its grid has {grid.num_times}")
+        payload = fh.read()
+    expected = 8 * int(np.prod(grid.shape))
+    if len(payload) != expected:
+        raise ValueError(f"payload needs {expected} bytes for grid shape {grid.shape}, "
+                         f"the file holds {len(payload)} after the header")
+    return GridFunction(grid, np.frombuffer(payload, dtype="<f8").reshape(grid.shape))
 
 
 def write_csv(u: GridFunction, path, max_nodes: int = 200_000) -> None:

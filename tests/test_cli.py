@@ -185,6 +185,16 @@ def test_config_errors_exit_code(tmp_path):
     assert main(["exponent", str(malformed)]) == EXIT_CONFIG
 
 
+def test_boolean_number_is_a_config_error(tmp_path, capsys):
+    cfg = json.loads(json.dumps(SOLVE_CFG))
+    cfg["grid"]["h"] = True
+    path = write_config(tmp_path, cfg)
+    with pytest.raises(ConfigError, match=r"grid\.h: expected a number, got bool"):
+        load_config(path)
+    assert main(["solve", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "grid.h" in capsys.readouterr().err
+
+
 def test_config_error_carries_field_path(tmp_path):
     cfg = write_config(tmp_path, {"scenario": "x", "params": {"p": 2.0, "n": 2, "q": 8.0}})
     with pytest.raises(ConfigError) as err:

@@ -285,6 +285,71 @@ def test_resample_still_rejects_points_off_the_grid():
         _resample(u, np.array([0.0]), g.t_start + 0.1 - 1e-9, 1.0, 1.0, 1.0, 0.0, 0.5, 0.1)
 
 
+def _resample_reference(u, anchor_x, anchor_t, space_scale, time_scale, amplitude, offset, ext, depth):
+    """_resample computed point by point with scipy's multilinear interpolator."""
+    from scipy.interpolate import RegularGridInterpolator
+
+    from plaplab.cylinders import _snap_onto
+
+    g = u.grid
+    new = SpaceTimeGrid(n=g.n, extent=ext, h=2.0 * ext / (g.nodes_per_axis - 1),
+                        dt=depth / (g.num_times - 1), t_start=-depth, t_end=0.0)
+    axes = (g.times(),) + g.spatial_axes()
+    coords = [anchor_t + time_scale * new.times()]
+    coords += [anchor_x[a] + space_scale * y for a, y in enumerate(new.spatial_axes())]
+    coords = [_snap_onto(c, ax[0], ax[-1]) for c, ax in zip(coords, axes)]
+    pts = np.stack([m.ravel() for m in np.meshgrid(*coords, indexing="ij")], axis=1)
+    rgi = RegularGridInterpolator(axes, u.values, method="linear", bounds_error=True)
+    return new, (amplitude * (rgi(pts) - offset)).reshape(new.shape)
+
+
+@pytest.mark.parametrize(
+    "n, anchor_x, anchor_t, scales",
+    [
+        (1, (0.3,), -0.2, (0.5, 0.3)),
+        (1, (-0.7,), -0.6, (0.25, 0.5)),  # reaches the domain edge at x = -1
+        (2, (0.3, -0.5), -0.1, (0.4, 0.3)),
+        (2, (0.75, 0.2), -0.3, (0.5, 0.25)),  # reaches the domain edge at x1 = 1
+    ],
+)
+def test_resample_matches_scipy_interpolation(n, anchor_x, anchor_t, scales):
+    from plaplab.cylinders import _resample
+
+    h = 1 / 64 if n == 1 else 1 / 16
+    g = unit_grid(n=n, h=h, dt=1 / 128)
+    u = GridFunction.from_callable(
+        g, lambda *xt: np.cos(3.0 * xt[0] - 2.0 * xt[-1]) + sum(np.sin(2.0 * x) for x in xt[1:-1]))
+    anchor_x = np.array(anchor_x)
+    space_scale, time_scale = scales
+    # the tau-cylinder of rescale_outside: clipped by the domain where it reaches past it
+    ext = min(1.0, float(np.min(g.extent - np.abs(anchor_x))) / space_scale)
+    depth = min(1.0, (anchor_t - g.t_start) / time_scale)
+    args = (u, anchor_x, anchor_t, space_scale, time_scale, 1.7, 0.3, ext, depth)
+    got = _resample(*args)
+    new, want = _resample_reference(*args)
+    assert got.grid == new
+    scale = float(np.max(np.abs(want)))
+    assert np.max(np.abs(got.values - want)) <= 1e-12 * scale
+
+
+def test_resample_of_a_clipped_tau_cylinder_matches_scipy_interpolation():
+    from plaplab.cylinders import _resample
+
+    # centers of the 61-center sweep whose tau-cylinder rescale_outside clips
+    # at the domain's initial time
+    g = SpaceTimeGrid(n=1, extent=1.0, h=1 / 128, dt=2e-4, t_start=0.0, t_end=0.25)
+    u = GridFunction(g, 3.0 * reference_solutions("heat_mode", 2.0, 1, g).values)
+    alpha = sharp_exponents(ProblemParams(p=2.0, n=1, q=INF, r=4.0)).alpha
+    for x0 in (-0.12, 0.02, 0.1):
+        tau = float(np.abs(u.gradient_at((x0,), 0.25))[0]) ** (1.0 / alpha)
+        ext, depth = min(1.0, (1.0 - abs(x0)) / tau), 0.25 / tau**2
+        assert depth < 1.0
+        args = (u, np.array([x0]), 0.25, tau, tau**2, tau ** (-(1.0 + alpha)), 0.0, ext, depth)
+        _, want = _resample_reference(*args)
+        got = _resample(*args).values
+        assert np.max(np.abs(got - want)) <= 1e-12 * float(np.max(np.abs(want)))
+
+
 def test_rescale_outside_rejects_flat_center():
     g = unit_grid(h=1 / 64, dt=1 / 256)
     u = GridFunction(g, np.full(g.shape, 2.0))

@@ -10,7 +10,6 @@ from plaplab.grids import (
     anisotropic_norm,
     energy_norm,
     full_domain_region,
-    gradient,
     initial_slice_mean_power,
     origin_cell_mean_radial_power,
     read_binary,
@@ -61,23 +60,23 @@ def test_gradient_exact_on_affine():
     g = small_grid(n=2, h=1 / 8, dt=1 / 16)
     u = GridFunction.from_callable(g, lambda x, y, t: 0.75 * x - 0.25 * y + 0.1)
     for ix in [(3, 4), (7, 2), (10, 10)]:
-        grad = gradient(u, ix, 2)
+        grad = u.gradient_at_node(ix, 2)
         assert grad == pytest.approx([0.75, -0.25], abs=1e-13)
 
 
 def test_gradient_zero_on_constant():
     g = small_grid()
     u = GridFunction(g, np.full(g.shape, 3.2))
-    assert gradient(u, (5,), 1) == pytest.approx([0.0], abs=1e-14)
+    assert u.gradient_at_node((5,), 1) == pytest.approx([0.0], abs=1e-14)
 
 
 def test_gradient_rejects_boundary():
     g = small_grid()
     u = GridFunction(g, np.zeros(g.shape))
     with pytest.raises(ValueError):
-        gradient(u, (0,), 1)
+        u.gradient_at_node((0,), 1)
     with pytest.raises(ValueError):
-        gradient(u, (g.nodes_per_axis - 1,), 1)
+        u.gradient_at_node((g.nodes_per_axis - 1,), 1)
 
 
 def test_gradient_second_order_on_quadratic():
@@ -87,7 +86,7 @@ def test_gradient_second_order_on_quadratic():
         u = GridFunction.from_callable(g, lambda x, t: x * x)
         xq = 0.25
         ix = g.space_index((xq,))
-        errs.append(abs(gradient(u, ix, 1)[0] - 2 * xq))
+        errs.append(abs(u.gradient_at_node(ix, 1)[0] - 2 * xq))
     # central differences are exact on quadratics up to roundoff
     assert max(errs) < 1e-12
 
@@ -96,6 +95,61 @@ def test_gradient_interpolation_off_node():
     g = small_grid(n=1, h=1 / 32)
     u = GridFunction.from_callable(g, lambda x, t: 0.4 * x + 1.0)
     assert u.gradient_at((0.013,), 0.1)[0] == pytest.approx(0.4, abs=1e-10)
+
+
+def _reference_interpolators(u):
+    """scipy's bounds-checked multilinear interpolators of u and of its node
+    gradient field, the kernels the local point queries replaced."""
+    from scipy.interpolate import RegularGridInterpolator
+
+    pts = (u.grid.times(),) + u.grid.spatial_axes()
+    grads = np.stack([u.gradient_slice(j) for j in range(u.grid.num_times)], axis=1)
+    value = RegularGridInterpolator(pts, u.values, method="linear", bounds_error=True)
+    grad = [RegularGridInterpolator(pts, ga, method="linear", bounds_error=True) for ga in grads]
+    return value, grad, float(np.max(np.abs(grads)))
+
+
+def _grid_coordinate(nodes, where, frac):
+    """A coordinate on a node axis: an exact edge, inside an edge cell, or anywhere."""
+    lo, hi = nodes[0], nodes[-1]
+    step = nodes[1] - nodes[0]
+    return {"lo": lo, "hi": hi, "first": lo + frac * step, "last": hi - frac * step,
+            "node": nodes[int(frac * (nodes.size - 1))], "any": lo + frac * (hi - lo)}[where]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+    spots=st.lists(
+        st.tuples(st.sampled_from(["lo", "hi", "first", "last", "node", "any"]),
+                  st.floats(0.0, 1.0)),
+        min_size=4, max_size=4,
+    ),
+)
+def test_point_queries_match_scipy_interpolation(n, seed, spots):
+    g = SpaceTimeGrid(n=n, extent=1.0, h=1 / 4, dt=1 / 8, t_start=-0.25, t_end=0.25)
+    u = GridFunction(g, np.random.default_rng(seed).standard_normal(g.shape))
+    value, grad, grad_scale = _reference_interpolators(u)
+    axes = (g.times(),) + g.spatial_axes()
+    pt = np.array([_grid_coordinate(ax, *spot) for ax, spot in zip(axes, spots)])
+    scale = float(np.max(np.abs(u.values)))
+    got = u.value_at(pt[1:], pt[0])
+    assert abs(got - value(pt)[0]) <= 1e-12 * max(abs(value(pt)[0]), scale)
+    want = np.array([rgi(pt)[0] for rgi in grad])
+    assert np.max(np.abs(u.gradient_at(pt[1:], pt[0]) - want)) <= 1e-12 * grad_scale
+
+
+def test_point_queries_reject_points_off_the_grid():
+    g = small_grid(n=2, h=1 / 8, dt=1 / 16)
+    u = GridFunction.from_callable(g, lambda x, y, t: x * y + t)
+    edge = float(g.axis_nodes()[-1])
+    for x, t in [((edge + 1e-12, 0.0), 0.1), ((0.0, -1.01), 0.1), ((0.0, 0.0), -1e-9),
+                 ((0.0, 0.0), g.times()[-1] + 1e-9), ((np.nan, 0.0), 0.1), ((0.0,), 0.1)]:
+        with pytest.raises(ValueError):
+            u.value_at(x, t)
+        with pytest.raises(ValueError):
+            u.gradient_at(x, t)
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +403,49 @@ def test_sup_oscillation_invariances():
     assert got1 == pytest.approx(got2, abs=1e-12)
 
 
+def _sup_oscillation_by_slices(u, region, x0, ref, grad_vec=None):
+    """The per-slice loop the block reduction replaced."""
+    sw = region.space_mask(u.grid)
+    plane = None
+    if grad_vec is not None:
+        plane = sum(g * (m - c) for g, m, c in zip(grad_vec, u.grid.meshgrid(), x0))
+    best = 0.0
+    for j in region.time_indices(u.grid):
+        dev = u.values[j] - ref
+        if plane is not None:
+            dev = dev - plane
+        best = max(best, float(np.max(np.abs(dev[sw]))))
+    return best
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+    ball=st.booleans(),
+    size=st.floats(0.05, 1.5),
+    offset=st.floats(-1.0, 1.0),
+    depth=st.floats(0.01, 0.5),
+)
+def test_sup_oscillation_equals_the_per_slice_loop_bit_for_bit(n, seed, ball, size, offset, depth):
+    g = SpaceTimeGrid(n=n, extent=1.0, h=1 / 8, dt=1 / 32, t_start=0.0, t_end=0.5)
+    rng = np.random.default_rng(seed)
+    u = GridFunction(g, rng.standard_normal(g.shape) * 10.0 ** rng.uniform(-3, 3))
+    x0 = (offset * 0.5,) + (0.25 * offset,) * (n - 1)
+    shape = {"radius": size} if ball else {"half_widths": tuple(size * (1 - 0.3 * a) for a in range(n))}
+    region = Region(center=x0, t_start=0.5 - depth, t_end=0.5, **shape)
+    center = (x0, 0.5)
+    if not region.space_mask(g).any():
+        with pytest.raises(ValueError, match="no spatial nodes"):
+            sup_oscillation(u, region, center)
+        return
+    ref = u.value_at(x0, 0.5)
+    assert sup_oscillation(u, region, center) == _sup_oscillation_by_slices(u, region, x0, ref)
+    grad_vec = rng.standard_normal(n)
+    assert sup_oscillation(u, region, center, affine_part=(0.3, grad_vec)) == (
+        _sup_oscillation_by_slices(u, region, x0, 0.3, grad_vec))
+
+
 def test_sup_oscillation_rejects_outside_center():
     g = small_grid()
     u = GridFunction(g, np.zeros(g.shape))
@@ -393,6 +490,38 @@ def test_binary_roundtrip(tmp_path):
     back = read_binary(path)
     assert back.grid == g
     assert np.array_equal(back.values, u.values)
+
+
+def _written(tmp_path, n=1):
+    g = small_grid(n=n, h=1 / 8, dt=1 / 16)
+    path = tmp_path / "u.bin"
+    write_binary(GridFunction(g, np.ones(g.shape)), path)
+    return g, path, path.read_bytes()
+
+
+def test_binary_short_header_is_a_value_error(tmp_path):
+    _, path, data = _written(tmp_path)
+    path.write_bytes(data[:20])
+    with pytest.raises(ValueError, match="header needs 56 bytes, file has 20"):
+        read_binary(path)
+
+
+def test_binary_truncated_or_padded_payload_is_a_value_error(tmp_path):
+    g, path, data = _written(tmp_path, n=2)
+    payload = 8 * int(np.prod(g.shape))
+    for size in (payload - 8, payload // 2, 0, payload + 3, payload + 8):
+        path.write_bytes(data[:56] + (data[56:] + bytes(16))[:size])
+        with pytest.raises(ValueError, match=f"payload needs {payload} bytes .* holds {size} after"):
+            read_binary(path)
+
+
+def test_binary_header_time_count_must_match_its_grid(tmp_path):
+    g, path, data = _written(tmp_path)
+    bad = bytearray(data)
+    bad[12:16] = (g.num_times + 1).to_bytes(4, "little")  # the num_times field
+    path.write_bytes(bytes(bad))
+    with pytest.raises(ValueError, match=f"header counts {g.num_times + 1} time slices"):
+        read_binary(path)
 
 
 def test_csv_export_small_only(tmp_path):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -263,6 +268,27 @@ def test_pointwise_noncritical_routes_through_rescale():
     assert rep.grad_mag * rep.tau ** (-alpha) == pytest.approx(1.0, rel=1e-9)
     assert rep.passes
     assert np.isfinite(rep.M)
+
+
+def test_pointwise_checks_do_not_import_scipy():
+    # both branches, the non-critical one through rescale_outside, are numpy-only
+    code = (
+        "import sys, numpy as np\n"
+        "from plaplab.exponents import ProblemParams\n"
+        "from plaplab.grids import GridFunction, SpaceTimeGrid\n"
+        "from plaplab.probe import check_pointwise_c1alpha\n"
+        "g = SpaceTimeGrid(n=1, extent=1.0, h=1 / 256, dt=1 / 16384, t_start=-0.25, t_end=0.0)\n"
+        "heat = ProblemParams(p=2.0, n=1, q=8.0, r=8.0)\n"
+        "flat = GridFunction.from_callable(g, lambda x, t: 0.4 * x * x)\n"
+        "steep = GridFunction.from_callable(g, lambda x, t: 0.8 * x + 0.3 * x * x)\n"
+        "reps = [check_pointwise_c1alpha(u, ((0.0,), 0.0), heat, 0.45, 5) for u in (flat, steep)]\n"
+        "print([r.critical for r in reps], sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[True, False] []"
 
 
 def test_pointwise_noncritical_needs_degenerate_range():
