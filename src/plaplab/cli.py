@@ -10,10 +10,8 @@ Subcommands mirror the library modules one-to-one:
 
 Every run writes summary.json with the config hash embedded; outputs are
 byte-identical for identical config + seed. Exit codes: 0 success,
-2 config error, 3 solver failure, 4 probe failure.
-
-The only environment knob is PLAPLAB_THREADS (worker count for independent
-probe centers; default 1, results are order-deterministic either way).
+1 validation battery failed, 2 config error, 3 solver failure, 4 probe
+failure.
 """
 
 from __future__ import annotations
@@ -22,9 +20,7 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,6 +34,7 @@ from .grids import GridFunction, Region, SpaceTimeGrid
 from .solver import BoundarySpec, SolveConfig, SourceSpec
 
 EXIT_OK = 0
+EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_PROBE = 4
@@ -385,12 +382,7 @@ def run_probe(cfg: ExperimentConfig, out_dir: Path) -> dict:
         bound = probe.check_dyadic_bound(plain, params)
         return prof, fit, bound
 
-    workers = max(1, int(os.environ.get("PLAPLAB_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, centers))
-    else:
-        results = [one(c) for c in centers]
+    results = [one(c) for c in centers]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     grids.write_binary(u, out_dir / "solution.bin")
@@ -518,7 +510,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     if args.subcommand == "validate" and not payload.get("all_passed", False):
         print("validation battery failed", file=sys.stderr)
-        return 1
+        return EXIT_VALIDATION
     print(json.dumps({"scenario": payload.get("scenario"), "ok": True}, sort_keys=True))
     return EXIT_OK
 

@@ -163,23 +163,14 @@ def critical_zone(u: GridFunction, rho: float, alpha: float, region: Region) -> 
     """
     grid = u.grid
     threshold = rho**alpha
-    idx = region.time_indices(grid)
-    smask = region.space_mask(grid)
-    interior = np.zeros(grid.spatial_shape, dtype=bool)
-    inner = tuple(slice(1, -1) for _ in range(grid.n))
-    interior[inner] = True
-    smask = smask & interior
-    flags = np.zeros((idx.size,) + grid.spatial_shape, dtype=bool)
-    total = 0
-    hits = 0
-    for row, j in enumerate(idx):
-        g = u.gradient_slice(j)
-        gmag = np.sqrt(np.sum(g * g, axis=0))
-        sel = smask & (gmag <= threshold)
-        flags[row] = sel
-        total += int(smask.sum())
-        hits += int(sel.sum())
-    fraction = hits / total if total else 0.0
+    blk = region.block(grid, interior=True)
+    g = u.gradient_on(blk.index)
+    g *= g
+    sel = blk.mask & (np.sqrt(np.sum(g, axis=0)) <= threshold)
+    flags = np.zeros((sel.shape[0],) + grid.spatial_shape, dtype=bool)
+    flags[(slice(None),) + blk.box] = sel
+    total = sel.shape[0] * int(blk.mask.sum())
+    fraction = int(sel.sum()) / total if total else 0.0
     return ZoneClassification(threshold=threshold, mask=flags, fraction=fraction, node_count=total)
 
 

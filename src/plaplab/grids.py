@@ -6,12 +6,15 @@ exact cell-overlap corrections at region boundaries where that is cheap)
 and trapezoid in time. Interpolation is multilinear in space-time and
 numpy-only: a point query weights the 2^(n+1) nodes of its cell, and a
 bulk resampling onto a tensor-product grid (see `locate_on_axis`)
-interpolates along one axis at a time. Grid functions are immutable after
-construction; every operation here is pure.
+interpolates along one axis at a time. Region reductions read a region's
+nodes as one cropped (time, box) block (`Region.block`) and reduce it over
+axes. Grid functions are immutable after construction; every operation
+here is pure.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import struct
 from dataclasses import dataclass
@@ -161,37 +164,37 @@ class GridFunction:
         (boundary columns exist for convenience; interior queries should be
         used for anything quantitative).
         """
-        u = self.values[it]
-        if self.grid.n == 1:
-            return np.gradient(u, self.grid.h)[None, :]
-        grads = np.gradient(u, self.grid.h)
-        return np.stack(grads, axis=0)
+        return self.gradient_on((it,) + (slice(0, self.grid.nodes_per_axis),) * self.grid.n)
+
+    def gradient_on(self, index: tuple) -> np.ndarray:
+        """Spatial gradient at values[index] (a time index or slice, then a node
+        slice per axis), shape (n,) + its shape. np.gradient runs on the box plus
+        a one-node halo clipped at the domain, so each node gets exactly its
+        whole-slice np.gradient value.
+        """
+        t, *box = index
+        n = self.grid.n
+        out = np.zeros((n,) + self.values[index].shape)
+        if out.size:
+            halo = tuple(slice(max(b.start - 1, 0), b.stop + 1) for b in box)
+            vals = self.values[(t,) + halo]
+            trim = (Ellipsis,) + tuple(slice(b.start - a.start, b.stop - a.start) for b, a in zip(box, halo))
+            for ax in range(n):  # one axis at a time: one halo-sized temporary
+                out[ax] = np.gradient(vals, self.grid.h, axis=vals.ndim - n + ax)[trim]
+        return out
 
     def gradient_at_node(self, ix: tuple[int, ...], it: int) -> np.ndarray:
         """Central-difference gradient at an interior node."""
         for axis, i in enumerate(ix):
             if i <= 0 or i >= self.grid.nodes_per_axis - 1:
                 raise ValueError(f"node index {ix} touches the boundary on axis {axis}")
-        u = self.values[it]
-        g = np.empty(self.grid.n)
-        for axis in range(self.grid.n):
-            up = list(ix); up[axis] += 1
-            dn = list(ix); dn[axis] -= 1
-            g[axis] = (u[tuple(up)] - u[tuple(dn)]) / (2.0 * self.grid.h)
-        return g
+        return self.gradient_on((it,) + tuple(slice(i, i + 1) for i in ix)).reshape(self.grid.n)
 
     def gradient_at(self, x, t: float) -> np.ndarray:
-        """Multilinear interpolation of the node gradients of gradient_slice."""
+        """Multilinear interpolation of the node gradients of gradient_on."""
         idx, weights = self._cell(x, t)
-        last = self.grid.nodes_per_axis - 1
-        out = np.empty(self.grid.n)
-        for a in range(1, self.grid.n + 1):  # idx row 0 is time
-            up, dn = idx.copy(), idx.copy()
-            up[a] = np.minimum(idx[a] + 1, last)
-            dn[a] = np.maximum(idx[a] - 1, 0)
-            diff = self.values[tuple(up)] - self.values[tuple(dn)]
-            out[a - 1] = weights @ (diff / ((up[a] - dn[a]) * self.grid.h))
-        return out
+        grads = self.gradient_on(tuple(slice(i, i + 2) for i in idx[:, 0]))
+        return np.array([weights @ g.ravel() for g in grads])
 
 
 def locate_on_axis(axis: np.ndarray, coords) -> tuple[np.ndarray, np.ndarray]:
@@ -206,6 +209,41 @@ def locate_on_axis(axis: np.ndarray, coords) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"coordinates reach off the grid axis [{axis[0]}, {axis[-1]}]")
     lower = np.minimum(np.searchsorted(axis, coords, side="right") - 1, axis.size - 2)
     return lower, (coords - axis[lower]) / (axis[lower + 1] - axis[lower])
+
+
+def _within(dist, width):
+    """The membership rule, inclusive with a rounding allowance."""
+    return dist <= width * (1.0 + 1e-12) + 1e-15
+
+
+@dataclass(frozen=True)
+class RegionBlock:
+    """A region's nodes on one grid as a single (time, box) block.
+
+    times: the region's time slices. box: per axis, the nodes within half a
+    cell of the region's extent, so every node of the region and every node
+    whose cell meets it (its quadrature weights). mask: the region's nodes
+    in the box. offsets[a]: the box's axis-a coordinates minus the center,
+    shaped to broadcast over the box. values[block.index] is the block.
+    """
+
+    times: slice
+    box: tuple[slice, ...]
+    mask: np.ndarray
+    offsets: tuple[np.ndarray, ...]
+
+    @property
+    def index(self) -> tuple[slice, ...]:
+        return (self.times,) + self.box
+
+
+def masked_abs_max(values: np.ndarray, mask: np.ndarray, axis=None):
+    """max |values| over a non-empty mask broadcast against values, reduced
+    over axis (default all), as max(max, -min): exact, with no |values| temporary.
+    """
+    hi = np.max(values, axis=axis, where=mask, initial=-np.inf)
+    lo = np.min(values, axis=axis, where=mask, initial=np.inf)
+    return np.abs(np.maximum(hi, -lo))
 
 
 @dataclass(frozen=True)
@@ -229,24 +267,44 @@ class Region:
         if self.t_end <= self.t_start:
             raise ValueError("region needs t_end > t_start")
 
-    def _distances(self, grid: SpaceTimeGrid):
-        mesh = grid.meshgrid()
-        diffs = [m - c for m, c in zip(mesh, self.center)]
-        return diffs
+    def _member(self, offsets):
+        """Membership of the points at per-axis offsets from the center."""
+        if self.radius is not None:
+            return _within(np.sqrt(sum(d * d for d in offsets)), self.radius)
+        return functools.reduce(np.logical_and, [_within(np.abs(d), w)
+                                                 for d, w in zip(offsets, self.half_widths)])
+
+    def _space_block(self, grid: SpaceTimeGrid, interior: bool):
+        """(box, mask, offsets) of block, built from the box's axis coordinates."""
+        axis = grid.axis_nodes()
+        widths = self.half_widths if self.radius is None else (self.radius,) * grid.n
+        box, offsets = [], []
+        for a, (c, w) in enumerate(zip(self.center, widths)):
+            d = axis - c
+            near = np.flatnonzero(_within(np.abs(d), w + grid.h / 2))
+            lo, hi = (int(near[0]), int(near[-1]) + 1) if near.size else (0, 0)
+            if interior:
+                lo, hi = max(lo, 1), min(hi, axis.size - 1)
+            box.append(slice(lo, max(lo, hi)))
+            offsets.append(d[box[-1]].reshape([-1 if k == a else 1 for k in range(grid.n)]))
+        return tuple(box), self._member(offsets), tuple(offsets)
+
+    def block(self, grid: SpaceTimeGrid, interior: bool = False) -> RegionBlock:
+        """The region's nodes as one (time, box) block; interior=True drops
+        the domain's boundary frame, where centered differences do not reach.
+        Raises ValueError when the region holds no time slice."""
+        idx = self.time_indices(grid)
+        return RegionBlock(slice(int(idx[0]), int(idx[-1]) + 1), *self._space_block(grid, interior))
 
     def space_mask(self, grid: SpaceTimeGrid) -> np.ndarray:
-        """Inclusive node membership (used for sup-type reductions)."""
-        diffs = self._distances(grid)
-        if self.radius is not None:
-            rr = np.sqrt(sum(d * d for d in diffs))
-            return rr <= self.radius * (1.0 + 1e-12) + 1e-15
-        mask = np.ones(grid.spatial_shape, dtype=bool)
-        for d, w in zip(diffs, self.half_widths):
-            mask &= np.abs(d) <= w * (1.0 + 1e-12) + 1e-15
-        return mask
+        """Inclusive node membership on the whole grid: block.mask, scattered."""
+        box, mask, _ = self._space_block(grid, False)
+        out = np.zeros(grid.spatial_shape, dtype=bool)
+        out[box] = mask
+        return out
 
     def space_weights(self, grid: SpaceTimeGrid) -> np.ndarray:
-        """Quadrature weights (cell measures clipped to the region).
+        """Quadrature weights (cell measures clipped to the region), zero off the block's box.
 
         Boxes (any n) and 1D balls use exact per-axis cell overlaps, which
         keeps the composite midpoint rule second order up to the region
@@ -254,27 +312,22 @@ class Region:
         3D balls fall back to counting interior nodes.
         """
         h = grid.h
+        box, mask, offsets = self._space_block(grid, False)
         if self.half_widths is not None or grid.n == 1:
-            if self.half_widths is not None:
-                widths = self.half_widths
-            else:
-                widths = (self.radius,)
-            axes = grid.spatial_axes()
-            axis_w = []
-            for ax, c, w in zip(axes, self.center, widths):
-                lo, hi = c - w, c + w
-                ov = np.minimum(hi, ax + h / 2) - np.maximum(lo, ax - h / 2)
+            widths = self.half_widths if self.half_widths is not None else (self.radius,)
+            axis, axis_w = grid.axis_nodes(), []
+            for b, c, w in zip(box, self.center, widths):
+                ax = axis[b]
+                ov = np.minimum(c + w, ax + h / 2) - np.maximum(c - w, ax - h / 2)
                 axis_w.append(np.clip(ov, 0.0, h))
-            if grid.n == 1:
-                return axis_w[0]
-            out = axis_w[0]
-            for aw in axis_w[1:]:
-                out = np.multiply.outer(out, aw)
-            return out
-        if grid.n == 2:
-            return _disk_weights_2d(grid, self.center, self.radius)
-        # 3D ball: interior-node counting
-        return np.where(self.space_mask(grid), h**grid.n, 0.0)
+            weights = functools.reduce(np.multiply.outer, axis_w)
+        elif grid.n == 2:
+            weights = _disk_weights_2d(*offsets, h, self.radius)
+        else:  # 3D ball: interior-node counting
+            weights = np.where(mask, h**grid.n, 0.0)
+        out = np.zeros(grid.spatial_shape)
+        out[box] = weights
+        return out
 
     def time_indices(self, grid: SpaceTimeGrid) -> np.ndarray:
         ts = grid.times()
@@ -294,42 +347,29 @@ class Region:
         return idx, w
 
     def contains_point(self, x, t: float, grid: SpaceTimeGrid) -> bool:
-        x = np.asarray(x, dtype=float)
         if not (self.t_start - grid.dt / 2 < t <= self.t_end + grid.dt * 1e-9):
             return False
-        d = x - np.asarray(self.center)
-        if self.radius is not None:
-            return bool(np.sqrt(np.sum(d * d)) <= self.radius * (1 + 1e-12) + 1e-15)
-        return bool(np.all(np.abs(d) <= np.asarray(self.half_widths) * (1 + 1e-12) + 1e-15))
-
-
-def _circle_chord(x: np.ndarray, radius: float) -> np.ndarray:
-    return np.sqrt(np.maximum(radius * radius - x * x, 0.0))
+        return bool(self._member(np.asarray(x, dtype=float) - np.asarray(self.center)))
 
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(24)
 
 
-def _disk_cell_overlap(cx: float, cy: float, h: float, radius: float) -> float:
-    """Area of the h-cell centered at (cx, cy) inside the disk of given radius."""
-    x1, x2 = cx - h / 2, cx + h / 2
-    y1, y2 = cy - h / 2, cy + h / 2
-    xm = 0.5 * (x1 + x2) + 0.5 * (x2 - x1) * _GAUSS_X
-    s = _circle_chord(xm, radius)
-    ln = np.maximum(np.minimum(y2, s) - np.maximum(y1, -s), 0.0)
-    return float(0.5 * (x2 - x1) * np.sum(_GAUSS_W * ln))
-
-
-def _disk_weights_2d(grid: SpaceTimeGrid, center, radius: float) -> np.ndarray:
-    X, Y = grid.meshgrid()
-    dx, dy = X - center[0], Y - center[1]
+def _disk_weights_2d(dx: np.ndarray, dy: np.ndarray, h: float, radius: float) -> np.ndarray:
+    """Areas of the h-cells at node offsets (dx, dy) from the center inside
+    the disk: h^2 well inside, 24-point Gauss-Legendre in x of the chord
+    length within each cell on the rim."""
+    dx, dy = np.broadcast_arrays(dx, dy)
     rr = np.hypot(dx, dy)
-    h = grid.h
     half_diag = h * 0.70711
     w = np.where(rr <= radius - half_diag, h * h, 0.0)
     rim = (rr > radius - half_diag) & (rr < radius + half_diag)
-    for i, j in zip(*np.nonzero(rim)):
-        w[i, j] = _disk_cell_overlap(dx[i, j], dy[i, j], h, radius)
+    cx, cy = dx[rim][:, None], dy[rim][:, None]
+    x1, x2 = cx - h / 2, cx + h / 2
+    xm = 0.5 * (x1 + x2) + 0.5 * (x2 - x1) * _GAUSS_X
+    s = np.sqrt(np.maximum(radius * radius - xm * xm, 0.0))
+    ln = np.maximum(np.minimum(cy + h / 2, s) - np.maximum(cy - h / 2, -s), 0.0)
+    w[rim] = 0.5 * (x2 - x1)[:, 0] * np.sum(_GAUSS_W * ln, axis=1)
     return w
 
 
@@ -352,19 +392,21 @@ def anisotropic_norm(f: GridFunction, q: float, r: float, region: Region) -> flo
     if q < 1.0 or r < 1.0:
         raise ValueError("q and r must lie in [1, inf]")
     grid = f.grid
-    idx, tw = region.time_weights(grid)
+    blk = region.block(grid)
+    _, tw = region.time_weights(grid)
+    space = tuple(range(1, grid.n + 1))
     if np.isinf(q):
-        sw = region.space_mask(grid)
-        if not sw.any():
+        if not blk.mask.any():
             raise ValueError("region contains no spatial nodes")
-        slice_vals = np.array([np.max(np.abs(f.values[j][sw])) for j in idx])
+        slice_vals = masked_abs_max(f.values[blk.index], blk.mask, axis=space)
     else:
-        sw = region.space_weights(grid)
+        sw = region.space_weights(grid)[blk.box]
         if not (sw > 0).any():
             raise ValueError("region contains no spatial nodes")
-        slice_vals = np.array(
-            [np.sum(np.abs(f.values[j]) ** q * sw) ** (1.0 / q) for j in idx]
-        )
+        vals = np.abs(f.values[blk.index])  # the one block-sized temporary
+        vals **= q
+        vals *= sw
+        slice_vals = np.sum(vals, axis=space) ** (1.0 / q)
     if np.isinf(r):
         return float(np.max(slice_vals))
     return float(np.sum(slice_vals**r * tw) ** (1.0 / r))
@@ -395,18 +437,16 @@ def steklov_average(u: GridFunction, window: float) -> GridFunction:
 def energy_norm(u: GridFunction, p: float, region: Region) -> float:
     """max-over-slices spatial L2 plus the space-time L^p norm of the gradient."""
     grid = u.grid
-    idx, tw = region.time_weights(grid)
-    sw = region.space_weights(grid)
+    blk = region.block(grid)
+    _, tw = region.time_weights(grid)
+    sw = region.space_weights(grid)[blk.box]
     if not (sw > 0).any():
         raise ValueError("region contains no spatial nodes")
-    sup_l2 = 0.0
-    grad_acc = 0.0
-    for j, w_t in zip(idx, tw):
-        sup_l2 = max(sup_l2, float(np.sum(u.values[j] ** 2 * sw) ** 0.5))
-        g = u.gradient_slice(j)
-        gmag = np.sqrt(np.sum(g * g, axis=0))
-        grad_acc += w_t * float(np.sum(gmag**p * sw))
-    return sup_l2 + grad_acc ** (1.0 / p)
+    space = tuple(range(1, grid.n + 1))
+    sup_l2 = float(np.max(np.sum(u.values[blk.index] ** 2 * sw, axis=space) ** 0.5))
+    g = u.gradient_on(blk.index)
+    gmag = np.sqrt(np.sum(g * g, axis=0))
+    return sup_l2 + float(tw @ np.sum(gmag**p * sw, axis=space)) ** (1.0 / p)
 
 
 def sup_oscillation(
@@ -423,25 +463,21 @@ def sup_oscillation(
     t0 = float(center[1])
     if not region.contains_point(x0, t0, grid):
         raise ValueError("center must lie inside the region")
-    sw = region.space_mask(grid)
-    if not sw.any():
+    blk = region.block(grid)
+    if not blk.mask.any():
         raise ValueError("region contains no spatial nodes")
-    idx = region.time_indices(grid)
-    # the region's slices are contiguous; crop space to the mask's bounding box
-    box = tuple(slice(int(np.min(k)), int(np.max(k)) + 1) for k in np.nonzero(sw))
-    block = u.values[(slice(idx[0], idx[-1] + 1),) + box]
-    inside = sw[box]
+    block = u.values[blk.index]
     # at each node, fl(fl(v - ref) - plane) is monotone in v, so its largest
     # magnitude over time sits at the node's max or min over time: reducing
     # over time first gives the same float as the whole block would
-    extremes = np.stack([block.max(axis=0)[inside], block.min(axis=0)[inside]])
+    extremes = np.stack([block.max(axis=0)[blk.mask], block.min(axis=0)[blk.mask]])
     if affine_part is None:
         return float(np.max(np.abs(extremes - u.value_at(x0, t0))))
     ref, grad_vec = affine_part
-    grad_vec = np.asarray(grad_vec, dtype=float)
-    mesh = np.meshgrid(*[ax[b] for ax, b in zip(grid.spatial_axes(), box)], indexing="ij")
-    plane = sum(g * (m - c) for g, m, c in zip(grad_vec, mesh, x0))
-    return float(np.max(np.abs(extremes - ref - plane[inside])))
+    axis = grid.axis_nodes()
+    plane = sum(g * (axis[b] - c).reshape(d.shape)
+                for g, b, c, d in zip(np.asarray(grad_vec, dtype=float), blk.box, x0, blk.offsets))
+    return float(np.max(np.abs(extremes - ref - plane[blk.mask])))
 
 
 # ---------------------------------------------------------------------------

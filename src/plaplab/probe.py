@@ -26,7 +26,7 @@ import numpy as np
 
 from .cylinders import Cylinder, corrected_cylinder, rescale_outside
 from .exponents import ProblemParams, sharp_exponents, theta_from_combined
-from .grids import GridFunction, Region, SpaceTimeGrid, sup_oscillation
+from .grids import GridFunction, Region, RegionBlock, SpaceTimeGrid, masked_abs_max, sup_oscillation
 from .solver import SolveConfig, SourceSpec, solve
 
 
@@ -90,33 +90,24 @@ def _count_axis_nodes(radius: float, h: float) -> int:
     return 2 * int(math.floor(radius / h + 1e-12)) + 1
 
 
-def _realized_radius(grid: SpaceTimeGrid, region: Region) -> float:
-    mask = region.space_mask(grid)
-    mesh = grid.meshgrid()
-    d2 = sum((m - c) ** 2 for m, c in zip(mesh, region.center))
-    return float(np.sqrt(np.max(d2[mask])))
+def _realized_radius(block: RegionBlock) -> float:
+    d2 = sum(d**2 for d in block.offsets)
+    return float(np.sqrt(np.max(d2[block.mask])))
 
 
 def _interp_noise_floor(u: GridFunction, cyl: Cylinder) -> float:
     """10x the second-difference interpolation error scale on the smallest cylinder."""
-    grid = u.grid
-    region = cyl.as_region()
-    idx = region.time_indices(grid)
-    mask = region.space_mask(grid)
-    inner = tuple(slice(1, -1) for _ in range(grid.n))
-    interior = np.zeros(grid.spatial_shape, dtype=bool)
-    interior[inner] = True
-    mask = mask & interior
+    blk = cyl.as_region().block(u.grid, interior=True)
+    # an interior box has its whole one-node halo on the grid
+    halo = u.values[(blk.times,) + tuple(slice(b.start - 1, b.stop + 1) for b in blk.box)]
+    inner = (slice(None),) + (slice(1, -1),) * u.grid.n
+    v = halo[inner]
     worst = 0.0
-    scale = 0.0
-    for j in idx:
-        v = u.values[j]
-        scale = max(scale, float(np.max(np.abs(v[mask]))))
-        for ax in range(grid.n):
-            up = np.roll(v, -1, axis=ax)
-            dn = np.roll(v, 1, axis=ax)
-            d2 = np.abs(up - 2 * v + dn)
-            worst = max(worst, float(np.max(d2[mask])))
+    for ax in range(1, u.grid.n + 1):
+        up = halo[inner[:ax] + (slice(2, None),) + inner[ax + 1:]]
+        dn = halo[inner[:ax] + (slice(None, -2),) + inner[ax + 1:]]
+        worst = max(worst, float(masked_abs_max(up - 2 * v + dn, blk.mask)))
+    scale = float(masked_abs_max(v, blk.mask))
     # second term keeps pure roundoff (exact constants/affines) unfittable
     return 10.0 * worst / 8.0 + 1e-13 * scale + 1e-300
 
@@ -190,7 +181,7 @@ def oscillation_profile(
             ProfileEntry(
                 k=cyl.k,
                 rho=cyl.rho,
-                rho_eff=_realized_radius(grid, region),
+                rho_eff=_realized_radius(region.block(grid)),
                 theta_eff=cyl.theta_eff,
                 depth=cyl.depth,
                 sup_osc=s_k,
@@ -428,19 +419,9 @@ def p_caloric_proximity(
         t_start=grid.t_end - (grid.t_end - grid.t_start) / 4.0,
         t_end=grid.t_end,
     )
-    mask = half.space_mask(grid)
-    idx = half.time_indices(grid)
-    inner = tuple(slice(1, -1) for _ in range(grid.n))
-    interior = np.zeros(grid.spatial_shape, dtype=bool)
-    interior[inner] = True
-    gmask = mask & interior
-    v_dist = 0.0
-    g_dist = 0.0
-    for j in idx:
-        diff = u.values[j] - phi.values[j]
-        v_dist = max(v_dist, float(np.max(np.abs(diff[mask]))))
-        gu = u.gradient_slice(j)
-        gp = phi.gradient_slice(j)
-        gd = np.sqrt(np.sum((gu - gp) ** 2, axis=0))
-        g_dist = max(g_dist, float(np.max(gd[gmask])))
+    blk = half.block(grid)
+    v_dist = float(masked_abs_max(u.values[blk.index] - phi.values[blk.index], blk.mask))
+    inner = half.block(grid, interior=True)
+    gd = np.sqrt(np.sum((u.gradient_on(inner.index) - phi.gradient_on(inner.index)) ** 2, axis=0))
+    g_dist = float(np.max(gd, where=inner.mask, initial=0.0))
     return v_dist, g_dist

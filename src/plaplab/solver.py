@@ -27,10 +27,12 @@ import numpy as np
 from .grids import (
     GridFunction,
     Region,
+    RegionBlock,
     SpaceTimeGrid,
     anisotropic_norm,
     full_domain_region,
     initial_slice_mean_power,
+    masked_abs_max,
     origin_cell_mean_radial_power,
 )
 
@@ -210,8 +212,7 @@ def _separable_power_field(spec: SourceSpec, grid: SpaceTimeGrid) -> GridFunctio
                 tvals[j] = initial_slice_mean_power(grid.dt, spec.b * rr_t) ** (1.0 / rr_t)
     else:
         tvals = np.ones_like(ts)
-    vals = spec.amplitude * tvals[(...,) + (None,) * grid.n] * space[None]
-    return GridFunction(grid, np.broadcast_to(vals, grid.shape).copy())
+    return GridFunction(grid, spec.amplitude * tvals[(...,) + (None,) * grid.n] * space[None])
 
 
 # ---------------------------------------------------------------------------
@@ -585,49 +586,44 @@ def weak_residual(u: GridFunction, source: SourceSpec, psi: GridFunction,
     grid = u.grid
     if psi.grid != grid:
         raise ValueError("psi must live on the solution grid")
-    idx, tw = region.time_weights(grid)
-    sw = region.space_weights(grid)
-    _check_compact_support(psi, region, grid)
+    blk = region.block(grid)
+    _, tw = region.time_weights(grid)
+    sw = region.space_weights(grid)[blk.box]
+    _check_compact_support(psi, region, blk)
     f = make_source(source, grid).field
 
-    psi_t = _time_derivative(psi.values, grid.dt)
-    boundary_term = float(
-        np.sum(u.values[idx[-1]] * psi.values[idx[-1]] * sw)
-        - np.sum(u.values[idx[0]] * psi.values[idx[0]] * sw)
-    )
-    bulk = 0.0
-    for j, w_t in zip(idx, tw):
-        gu = u.gradient_slice(j)
-        gpsi = psi.gradient_slice(j)
-        gmag = np.sqrt(np.sum(gu * gu, axis=0))
-        flux_dot = np.sum(gu * gpsi, axis=0) * np.where(gmag > 0, gmag, 1.0) ** (p - 2.0)
-        integrand = -u.values[j] * psi_t[j] + flux_dot - f.values[j] * psi.values[j]
-        bulk += w_t * float(np.sum(integrand * sw))
-    return boundary_term + bulk
+    space = tuple(range(1, grid.n + 1))
+    uv, pv, fv = (v.values[blk.index] for v in (u, psi, f))
+    psi_t = _time_derivative(psi.values[(slice(None),) + blk.box], grid.dt)[blk.times]
+    boundary_term = float(np.sum(uv[-1] * pv[-1] * sw) - np.sum(uv[0] * pv[0] * sw))
+    gu, gpsi = u.gradient_on(blk.index), psi.gradient_on(blk.index)
+    gmag = np.sqrt(np.sum(gu * gu, axis=0))
+    flux_dot = np.sum(gu * gpsi, axis=0) * np.where(gmag > 0, gmag, 1.0) ** (p - 2.0)
+    integrand = -uv * psi_t + flux_dot - fv * pv
+    return boundary_term + float(tw @ np.sum(integrand * sw, axis=space))
 
 
-def _check_compact_support(psi: GridFunction, region: Region, grid: SpaceTimeGrid) -> None:
-    sw = region.space_mask(grid)
-    if not sw.any():
+def _rim(mask: np.ndarray) -> np.ndarray:
+    """Nodes of mask with a neighbour off it (or off the array) on some axis."""
+    inside = np.pad(mask, 1)
+    rim = np.zeros_like(mask)
+    for ax in range(mask.ndim):
+        for lo in (0, 2):
+            rim |= ~inside[tuple(slice(lo, lo + k) if a == ax else slice(1, k + 1)
+                                 for a, k in enumerate(mask.shape))]
+    return rim & mask
+
+
+def _check_compact_support(psi: GridFunction, region: Region, blk: RegionBlock) -> None:
+    if not blk.mask.any():
         raise ValueError("region contains no spatial nodes")
-    # rim = member nodes with a non-member neighbor on some axis
-    rim = np.zeros_like(sw)
-    for ax in range(grid.n):
-        shifted = np.roll(sw, 1, axis=ax)
-        shifted[tuple(slice(0, 1) if a == ax else slice(None) for a in range(grid.n))] = False
-        rim |= sw & ~shifted
-        shifted = np.roll(sw, -1, axis=ax)
-        shifted[tuple(slice(-1, None) if a == ax else slice(None) for a in range(grid.n))] = False
-        rim |= sw & ~shifted
-    idx = region.time_indices(grid)
-    peak = max(float(np.max(np.abs(psi.values[j][rim]))) for j in idx)
-    scale = max(float(np.max(np.abs(psi.values[idx]))), 1e-300)
+    # the box holds every member node, so a neighbour off the box is off the region
+    peak = float(masked_abs_max(psi.values[blk.index], _rim(blk.mask)))
+    whole = psi.values[blk.times]  # the scale is taken over whole slices
+    scale = max(float(max(whole.max(), -whole.min())), 1e-300)
     # polynomial bumps reach O((h/width)^2) at the outermost member node
-    if region.radius is not None:
-        w_min = region.radius
-    else:
-        w_min = min(region.half_widths)
-    tol = max(1e-8, (4.0 * grid.h / w_min) ** 2)
+    w_min = region.radius if region.radius is not None else min(region.half_widths)
+    tol = max(1e-8, (4.0 * psi.grid.h / w_min) ** 2)
     if peak > tol * scale:
         raise ValueError("test function does not vanish on the region's spatial rim")
 
@@ -658,8 +654,7 @@ def bump_battery(grid: SpaceTimeGrid, region: Region, powers=(2, 3),
             space = np.ones(grid.spatial_shape)
             for m, c, w in zip(mesh, region.center, base):
                 space = space * np.maximum(1.0 - ((m - c) / (s * w)) ** 2, 0.0) ** k
-            vals = ramp[(...,) + (None,) * grid.n] * space[None]
-            battery.append(GridFunction(grid, np.broadcast_to(vals, grid.shape).copy()))
+            battery.append(GridFunction(grid, ramp[(...,) + (None,) * grid.n] * space[None]))
     return battery
 
 
@@ -706,26 +701,25 @@ def caccioppoli_gap(u: GridFunction, source: SourceSpec, cutoff: GridFunction,
     xi = cutoff.values
     if xi.min() < -1e-12 or xi.max() > 1.0 + 1e-12:
         raise ValueError("cutoff values must lie in [0, 1]")
-    idx, tw = region.time_weights(grid)
-    sw = region.space_weights(grid)
+    blk = region.block(grid)
+    _, tw = region.time_weights(grid)
+    sw = region.space_weights(grid)[blk.box]
     f_norm = make_source(source, grid).norm_qr
-    xi_t = _time_derivative(xi, grid.dt)
+    xi_t = _time_derivative(xi[(slice(None),) + blk.box], grid.dt)[blk.times]
 
-    sup_term = 0.0
-    grad_term = 0.0
-    rhs_bulk = 0.0
-    rhs_time = 0.0
-    for j, w_t in zip(idx, tw):
-        uj = u.values[j]
-        xj = xi[j]
-        sup_term = max(sup_term, float(np.sum(uj * uj * xj**p * sw)))
-        gu = u.gradient_slice(j)
-        gxi = cutoff.gradient_slice(j)
-        gu_mag = np.sqrt(np.sum(gu * gu, axis=0))
-        gxi_mag = np.sqrt(np.sum(gxi * gxi, axis=0))
-        grad_term += w_t * float(np.sum(gu_mag**p * xj**p * sw))
-        rhs_bulk += w_t * float(np.sum(np.abs(uj) ** p * (xj**p + gxi_mag**p) * sw))
-        rhs_time += w_t * float(np.sum(uj * uj * xj ** (p - 1.0) * np.abs(xi_t[j]) * sw))
+    space = tuple(range(1, grid.n + 1))
+
+    def integral(vals):
+        return float(tw @ np.sum(vals * sw, axis=space))
+
+    uj, xj = u.values[blk.index], xi[blk.index]
+    sup_term = float(np.max(np.sum(uj * uj * xj**p * sw, axis=space)))
+    gu, gxi = u.gradient_on(blk.index), cutoff.gradient_on(blk.index)
+    gu_mag = np.sqrt(np.sum(gu * gu, axis=0))
+    gxi_mag = np.sqrt(np.sum(gxi * gxi, axis=0))
+    grad_term = integral(gu_mag**p * xj**p)
+    rhs_bulk = integral(np.abs(uj) ** p * (xj**p + gxi_mag**p))
+    rhs_time = integral(uj * uj * xj ** (p - 1.0) * np.abs(xi_t))
     lhs = sup_term + grad_term
     rhs = rhs_bulk + c_fit * rhs_time + c_fit * f_norm
     return lhs, rhs

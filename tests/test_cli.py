@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from plaplab import cli
 from plaplab.cli import (
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_VALIDATION,
     ConfigError,
     config_digest,
     load_config,
@@ -227,19 +229,12 @@ def test_solver_failure_exit_code(tmp_path):
     assert main(["solve", str(path), "--out", str(tmp_path / "boom")]) == 3
 
 
-def test_probe_thread_override_deterministic(tmp_path, monkeypatch):
-    cfg = probe_cfg()
-    cfg["grid"] = {"h": 1 / 128, "dt": 5e-05, "t_end": 0.25}
-    cfg["probe"] = {
-        "lambda": 0.45,
-        "K": 4,
-        "mode": "plain",
-        "centers": [[0.0, 0.25], [0.1, 0.25]],
-    }
-    path = write_config(tmp_path, cfg)
-    out1, out2 = tmp_path / "seq", tmp_path / "par"
-    monkeypatch.setenv("PLAPLAB_THREADS", "1")
-    assert main(["probe", str(path), "--out", str(out1)]) == EXIT_OK
-    monkeypatch.setenv("PLAPLAB_THREADS", "2")
-    assert main(["probe", str(path), "--out", str(out2)]) == EXIT_OK
-    assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+def test_failed_validation_exit_code(tmp_path, capsys, monkeypatch):
+    # break the constant-norm oracle so exactly one check of the battery fails
+    monkeypatch.setattr(cli.grids, "anisotropic_norm", lambda *args: 0.0)
+    cfg = write_config(tmp_path, {"scenario": "validate-demo", "output_dir": "out"})
+    out = tmp_path / "val_out"
+    assert main(["validate", str(cfg), "--out", str(out)]) == EXIT_VALIDATION == 1
+    assert "validation battery failed" in capsys.readouterr().err
+    checks = json.loads((out / "summary.json").read_text())["checks"]
+    assert [name for name, ok in checks.items() if not ok] == ["constant_norm_exact"]
