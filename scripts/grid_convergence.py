@@ -26,8 +26,9 @@ from plaplab.solver import (  # noqa: E402
 
 
 def eigenmode_study(hs=(1 / 32, 1 / 64, 1 / 128, 1 / 256)):
+    """Print the sup error at each h; return the errors."""
     print("heat eigenmode, dt = h^2/2, T ~ 0.05")
-    prev = None
+    errs = []
     for h in hs:
         dt = 0.5 * h * h
         steps = round(0.05 / dt)
@@ -36,14 +37,16 @@ def eigenmode_study(hs=(1 / 32, 1 / 64, 1 / 128, 1 / 256)):
         cfg = SolveConfig(p=2.0, boundary=BoundarySpec(kind="zero"))
         u = solve(g, cfg, SourceSpec(kind="zero"), mode.values[0])
         err = float(np.max(np.abs(u.values[-1] - mode.values[-1])))
-        order = "" if prev is None else f"  order {np.log2(prev / err):5.2f}"
+        order = f"  order {np.log2(errs[-1] / err):5.2f}" if errs else ""
         print(f"  h = 1/{round(1 / h):4d}   sup error = {err:.3e}{order}")
-        prev = err
+        errs.append(err)
+    return errs
 
 
 def self_similar_study(hs=(1 / 32, 1 / 64, 1 / 128)):
+    """Print the windowed interior residual at each h; return the residuals."""
     print("degenerate self-similar profile (p = 3), interior residual")
-    prev = None
+    errs = []
     for h in hs:
         g = SpaceTimeGrid(n=1, extent=4.0, h=h, dt=h * h, t_start=1.0, t_end=1.0 + 32 * h * h)
         u = reference_solutions("barenblatt", 3.0, 1, g)
@@ -52,9 +55,10 @@ def self_similar_study(hs=(1 / 32, 1 / 64, 1 / 128)):
         rad = barenblatt_support_radius(g.t_start, 3.0, 1)
         window = (np.abs(x) > 0.15 * rad) & (np.abs(x) < 0.8 * rad)
         err = float(np.max(np.abs(res.values[1:-1][:, window])))
-        order = "" if prev is None else f"  order {np.log2(prev / err):5.2f}"
+        order = f"  order {np.log2(errs[-1] / err):5.2f}" if errs else ""
         print(f"  h = 1/{round(1 / h):4d}   residual  = {err:.3e}{order}")
-        prev = err
+        errs.append(err)
+    return errs
 
 
 if __name__ == "__main__":

@@ -200,9 +200,7 @@ def _initial_field(cfg: ExperimentConfig, grid: SpaceTimeGrid) -> np.ndarray:
     if cfg.initial_kind == "constant":
         return np.full(grid.spatial_shape, cfg.initial_value)
     if cfg.initial_kind == "eigenmode":
-        return solver.reference_solutions("heat_mode", 2.0, grid.n, grid).values[0] * (
-            cfg.initial_value or 1.0
-        )
+        return solver.reference_slice("heat_mode", grid, grid.t_start) * (cfg.initial_value or 1.0)
     if cfg.initial_kind == "boundary":
         return cfg.solve_config.boundary.evaluate(grid, grid.t_start, cfg.solve_config.p)
     raise ConfigError("solve.initial.kind", f"unsupported kind {cfg.initial_kind!r}")

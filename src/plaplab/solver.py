@@ -1,12 +1,14 @@
 """Finite-difference solver for u_t - div(|grad u|^(p-2) grad u) = f.
 
-The default scheme is semi-implicit: the diffusivity is lagged one step,
-(|grad u_old|^2 + eps^2)^((p-2)/2), and each step solves one symmetric
-positive definite linear system. In 1D that system is tridiagonal and is
-solved directly by cyclic reduction; in 2D and 3D it is solved by
-diagonally preconditioned conjugate gradients, to the tolerance newton_tol
-within max_inner_iters iterations. An explicit scheme is available behind a
-CFL guard. Dirichlet data only; the theory being exercised is interior.
+One step operator (_StepOperator), built once per step from the lagged
+diffusivity (|grad u_old|^2 + eps^2)^((p-2)/2), serves every scheme and the
+semi-discrete residual. The default scheme is semi-implicit: each step
+solves one symmetric positive definite linear system. In 1D that system is
+tridiagonal and is solved directly by cyclic reduction; in 2D and 3D it is
+solved by diagonally preconditioned conjugate gradients, to the tolerance
+newton_tol within max_inner_iters iterations. An explicit scheme is
+available behind a CFL guard. Dirichlet data only; the theory being
+exercised is interior.
 
 Alongside the solver live its verification surfaces: reference solutions
 (heat eigenmode, compactly supported self-similar profile for p > 2), the
@@ -80,7 +82,7 @@ class BoundarySpec:
                 out = out + g * m
             return out
         if self.kind == "reference":
-            return _reference_slice(self.name, grid, t, p)
+            return reference_slice(self.name, grid, t, p)
         if self.kind == "custom":
             return np.asarray(self.fn(*grid.meshgrid(), t), dtype=float)
         raise ValueError(f"unknown boundary kind {self.kind!r}")
@@ -218,44 +220,73 @@ def _separable_power_field(spec: SourceSpec, grid: SpaceTimeGrid) -> GridFunctio
 # ---------------------------------------------------------------------------
 # time marching
 
-def _face_diffusivities(u_slice: np.ndarray, h: float, p: float, eps: float):
-    """Per-axis arithmetic-mean face values of (|grad u|^2 + eps^2)^((p-2)/2)."""
-    n = u_slice.ndim
-    grads = np.gradient(u_slice, h) if n > 1 else [np.gradient(u_slice, h)]
-    g2 = sum(g * g for g in grads)
-    d_node = (g2 + eps * eps) ** ((p - 2.0) / 2.0)
-    faces = []
-    for ax in range(n):
-        sl_lo = [slice(None)] * n
-        sl_hi = [slice(None)] * n
-        sl_lo[ax] = slice(0, -1)
-        sl_hi[ax] = slice(1, None)
-        faces.append(0.5 * (d_node[tuple(sl_lo)] + d_node[tuple(sl_hi)]))
-    return faces
+def _on_axis(n: int, ax: int, sl, rest=slice(None)) -> tuple:
+    """Index on the trailing n axes: sl along axis ax, rest on the others."""
+    idx = [rest] * n
+    idx[ax] = sl
+    return (Ellipsis, *idx)
 
 
-def _div_flux(v: np.ndarray, faces, h: float) -> np.ndarray:
-    """div(D grad v) on interior nodes (zero on the boundary frame)."""
-    n = v.ndim
-    out = np.zeros_like(v)
-    inner = tuple(slice(1, -1) for _ in range(n))
-    acc = np.zeros_like(v[inner])
-    for ax in range(n):
-        lo = [slice(1, -1)] * n
-        hi = [slice(1, -1)] * n
-        lo[ax] = slice(0, -2)
-        hi[ax] = slice(2, None)
-        f_lo = [slice(1, -1)] * n
-        f_hi = [slice(1, -1)] * n
-        f_lo[ax] = slice(0, -1)
-        f_hi[ax] = slice(1, None)
-        D = faces[ax]
-        acc = acc + (
-            D[tuple(f_hi)] * (v[tuple(hi)] - v[inner])
-            - D[tuple(f_lo)] * (v[inner] - v[tuple(lo)])
-        ) / (h * h)
-    out[inner] = acc
-    return out
+def _shifted(n: int, ax: int) -> tuple[tuple, tuple]:
+    """All but the last, and all but the first, entry along axis ax."""
+    return _on_axis(n, ax, slice(0, -1)), _on_axis(n, ax, slice(1, None))
+
+
+class _StepOperator:
+    """The discrete operator of one step, built once from the lagged field u,
+    whose trailing n axes are space (leading axes are a batch).
+
+    couplings[ax] holds scale * D / h^2, D = (|grad u|^2 + eps^2)^((p-2)/2)
+    averaged onto the axis-ax faces that touch an interior node; diag is the
+    diagonal of the step matrix I - scale div(D grad .) on interior nodes.
+    """
+
+    def __init__(self, u: np.ndarray, n: int, h: float, p: float, eps: float, scale: float):
+        grads = np.gradient(u, h, axis=tuple(range(u.ndim - n, u.ndim)))
+        grads = [grads] if n == 1 else grads
+        d_node = grads[0] * grads[0]
+        for g in grads[1:]:
+            d_node += g * g
+        del grads
+        d_node += eps * eps
+        d_node **= (p - 2.0) / 2.0
+        self.n = n
+        self.couplings = []
+        self.diag = 1.0
+        for ax in range(n):
+            lo, hi = _shifted(n, ax)
+            d = d_node[_on_axis(n, ax, slice(None), slice(1, -1))]
+            c = (scale / (h * h)) * (0.5 * (d[lo] + d[hi]))
+            self.couplings.append(c)
+            self.diag = self.diag + c[lo] + c[hi]
+
+    def flux(self, v: np.ndarray) -> np.ndarray:
+        """scale * div(D grad v) at the interior nodes of v."""
+        mid = v[(Ellipsis,) + (slice(1, -1),) * self.n]
+        acc = 0.0
+        for ax, c in enumerate(self.couplings):
+            lo, hi = _shifted(self.n, ax)
+            above = v[_on_axis(self.n, ax, slice(2, None), slice(1, -1))]
+            below = v[_on_axis(self.n, ax, slice(0, -2), slice(1, -1))]
+            acc = acc + (c[hi] * (above - mid) - c[lo] * (mid - below))
+        return acc
+
+    def apply(self, w: np.ndarray) -> np.ndarray:
+        """The step matrix times the interior values w."""
+        out = self.diag * w
+        for ax, c in enumerate(self.couplings):
+            lo, hi = _shifted(self.n, ax)
+            between = c[lo][hi]  # the faces between two interior nodes
+            out[lo] -= between * w[hi]
+            out[hi] -= between * w[lo]
+        return out
+
+    def add_boundary(self, rhs: np.ndarray, b: np.ndarray) -> None:
+        """Add the couplings of the interior nodes to the Dirichlet values of b."""
+        for ax, c in enumerate(self.couplings):
+            for end in (0, -1):
+                at_end = _on_axis(self.n, ax, end)
+                rhs[at_end] += c[at_end] * b[_on_axis(self.n, ax, end, slice(1, -1))]
 
 
 def _pcg(apply_a, b, x0, diag, rtol, maxiter):
@@ -358,17 +389,18 @@ def _march_tridiagonal(out: np.ndarray, f: np.ndarray, boundary_at, times: np.nd
     """1D semi-implicit march: fill out[1:] from out[0].
 
     The step matrix I - dt div(D grad .) on the interior nodes is tridiagonal
-    with the face couplings c = dt D / h^2, so each step builds it once and
-    solves it directly. At p = 2 the diffusivity is identically 1 and the
-    first step's factor is reused.
+    with the step operator's face couplings c = dt D / h^2, so each step
+    builds it once and solves it directly. At p = 2 the diffusivity is
+    identically 1 and the first step's factor is reused.
     """
     u = out[0]
     levels = None
     for m in range(1, len(times)):
         try:
             if levels is None or p != 2.0:
-                c = (dt / (h * h)) * _face_diffusivities(u, h, p, eps)[0]
-                levels = _tridiag_factor(1.0 + c[:-1] + c[1:], -c[1:-1])
+                op = _StepOperator(u, 1, h, p, eps, dt)
+                c = op.couplings[0]
+                levels = _tridiag_factor(op.diag, -c[1:-1])
             b = boundary_at(times[m])
             rhs = u[1:-1] + dt * f[m, 1:-1]
             rhs[0] += c[0] * b[0]
@@ -379,17 +411,6 @@ def _march_tridiagonal(out: np.ndarray, f: np.ndarray, boundary_at, times: np.nd
         u = out[m]
         u[0], u[-1] = b[0], b[-1]
         u[1:-1] = w
-
-
-def _boundary_frame_mask(shape: tuple[int, ...]) -> np.ndarray:
-    mask = np.zeros(shape, dtype=bool)
-    for ax in range(len(shape)):
-        sl = [slice(None)] * len(shape)
-        sl[ax] = 0
-        mask[tuple(sl)] = True
-        sl[ax] = -1
-        mask[tuple(sl)] = True
-    return mask
 
 
 def solve(
@@ -411,8 +432,7 @@ def solve(
     p = config.p
     eps = config.resolved_eps(grid)
     src = _source_field(source, grid)
-    bmask = _boundary_frame_mask(grid.spatial_shape)
-    inner = tuple(slice(1, -1) for _ in range(grid.n))
+    inner = (slice(1, -1),) * grid.n
 
     times = grid.times()
     boundary = config.boundary
@@ -422,63 +442,39 @@ def solve(
         return fixed if fixed is not None else boundary.evaluate(grid, t, p)
 
     out = np.empty(grid.shape)
-    u = initial.copy()
-    u[bmask] = boundary_at(times[0])[bmask]
-    out[0] = u
+    u = out[0]
+    u[...] = boundary_at(times[0])
+    u[inner] = initial[inner]
 
     h, dt = grid.h, grid.dt
     if grid.n == 1 and config.scheme == "semi_implicit":
         _march_tridiagonal(out, src.values, boundary_at, times, h, dt, p, eps)
         return GridFunction(grid, out)
+    explicit = config.scheme == "explicit"
+    op = None
     for m in range(1, grid.num_times):
-        faces = _face_diffusivities(u, h, p, eps)
-        if config.scheme == "explicit":
-            dmax = max(float(np.max(f)) for f in faces)
-            cfl = 0.9 * h * h / (2.0 * grid.n * max(dmax, 1e-300))
-            if dt > cfl:
-                raise CflError(
-                    f"explicit dt={dt:.3e} exceeds stability bound {cfl:.3e} "
-                    f"(max diffusivity {dmax:.3e})"
-                )
-            u_new = u + dt * (_div_flux(u, faces, h) + src.values[m - 1])
-            u_new[bmask] = boundary_at(times[m])[bmask]
+        if op is None or p != 2.0:  # at p = 2, D = 1 whatever u is
+            op = _StepOperator(u, grid.n, h, p, eps, dt)
+            cmax = max(float(c.max()) for c in op.couplings) if explicit else 0.0
+            if cmax > 0.45 / grid.n:  # dt > 0.9 h^2 / (2 n max D)
+                dmax = cmax * h * h / dt
+                raise CflError(f"explicit dt={dt:.3e} exceeds stability bound "
+                               f"{0.45 * h * h / (grid.n * dmax):.3e} (max diffusivity {dmax:.3e})")
+        u_new = out[m]
+        u_new[...] = boundary_at(times[m])
+        if explicit:
+            u_new[inner] = u[inner] + op.flux(u) + dt * src.values[m - 1][inner]
         else:
-            b_new = boundary_at(times[m])
-            vb = np.zeros_like(u)
-            vb[bmask] = b_new[bmask]
-            rhs = (u + dt * src.values[m])[inner] + dt * _div_flux(vb, faces, h)[inner]
-
-            def apply_a(w, faces=faces):
-                wf = np.zeros(grid.spatial_shape)
-                wf[inner] = w
-                return w - dt * _div_flux(wf, faces, h)[inner]
-
-            diag = np.ones(grid.spatial_shape)[inner].copy()
-            for ax in range(grid.n):
-                f_lo = [slice(1, -1)] * grid.n
-                f_hi = [slice(1, -1)] * grid.n
-                f_lo[ax] = slice(0, -1)
-                f_hi[ax] = slice(1, None)
-                diag += dt * (faces[ax][tuple(f_lo)] + faces[ax][tuple(f_hi)]) / (h * h)
-            w, _ = _pcg(apply_a, rhs, u[inner], diag, config.newton_tol, config.max_inner_iters)
-            u_new = b_new.copy()
+            rhs = u[inner] + dt * src.values[m][inner]
+            op.add_boundary(rhs, u_new)
+            w, _ = _pcg(op.apply, rhs, u[inner], op.diag, config.newton_tol, config.max_inner_iters)
             u_new[inner] = w
         u = u_new
-        out[m] = u
     return GridFunction(grid, out)
 
 
 # ---------------------------------------------------------------------------
 # reference solutions
-
-def _heat_mode(grid: SpaceTimeGrid, t: float) -> np.ndarray:
-    mesh = grid.meshgrid()
-    k = np.pi / grid.extent
-    out = np.exp(-grid.n * k * k * t)
-    for m in mesh:
-        out = out * np.sin(k * m)
-    return out
-
 
 _BARENBLATT_MASS = 1.0
 
@@ -488,9 +484,12 @@ def barenblatt_profile(x_mag: np.ndarray, t, p: float, n: int) -> np.ndarray:
     lam = n * (p - 2.0) + p
     kb = ((p - 2.0) / p) * lam ** (-1.0 / (p - 1.0))
     t = np.asarray(t, dtype=float)
-    xi = np.abs(x_mag) * t ** (-1.0 / lam)
-    inner = np.maximum(_BARENBLATT_MASS - kb * xi ** (p / (p - 1.0)), 0.0)
-    return t ** (-n / lam) * inner ** ((p - 1.0) / (p - 2.0))
+    v = np.asarray(np.abs(x_mag) * t ** (-1.0 / lam))  # xi, then the profile, in place
+    np.power(v, p / (p - 1.0), out=v)
+    np.subtract(_BARENBLATT_MASS, np.multiply(kb, v, out=v), out=v)
+    np.maximum(v, 0.0, out=v)
+    np.power(v, (p - 1.0) / (p - 2.0), out=v)
+    return np.multiply(t ** (-n / lam), v, out=v)
 
 
 def barenblatt_support_radius(t: float, p: float, n: int) -> float:
@@ -499,15 +498,22 @@ def barenblatt_support_radius(t: float, p: float, n: int) -> float:
     return (_BARENBLATT_MASS / kb) ** ((p - 1.0) / p) * t ** (1.0 / lam)
 
 
-def _reference_slice(name: str, grid: SpaceTimeGrid, t: float, p: float | None = None) -> np.ndarray:
+def reference_slice(name: str, grid: SpaceTimeGrid, t, p: float | None = None) -> np.ndarray:
+    """The reference field name (see reference_solutions) at the time t, or at
+    times t of shape (T, 1, ..., 1); p selects the Barenblatt profile. Built
+    by broadcasting one vector of axis nodes per axis."""
+    nodes = grid.axis_nodes()
+    x = [nodes.reshape([-1 if a == ax else 1 for a in range(grid.n)]) for ax in range(grid.n)]
     if name == "heat_mode":
-        return _heat_mode(grid, t)
+        k = np.pi / grid.extent
+        out = np.exp(-grid.n * k * k * t)  # times one sine per axis
+        for xa in x:
+            out = out * np.sin(k * xa)
+        return out
     if name == "barenblatt":
         if p is None:
             raise ValueError("barenblatt boundary data needs an explicit p")
-        mesh = grid.meshgrid()
-        rr = np.sqrt(sum(m * m for m in mesh))
-        return barenblatt_profile(rr, t, p, grid.n)
+        return barenblatt_profile(np.sqrt(sum(xa * xa for xa in x)), t, p, grid.n)
     raise ValueError(f"unknown reference solution {name!r}")
 
 
@@ -521,21 +527,13 @@ def reference_solutions(name: str, p: float, n: int, grid: SpaceTimeGrid) -> Gri
     """
     if grid.n != n:
         raise ValueError(f"grid dimension {grid.n} != requested {n}")
-    if name == "heat_mode":
-        if p != 2.0:
-            raise ValueError("heat_mode requires p = 2")
-        vals = np.stack([_heat_mode(grid, t) for t in grid.times()])
-        return GridFunction(grid, vals)
-    if name == "barenblatt":
-        if p <= 2.0:
-            raise ValueError("barenblatt requires p > 2")
-        if grid.t_start <= 0.0:
-            raise ValueError("barenblatt needs a time range bounded away from 0")
-        mesh = grid.meshgrid()
-        rr = np.sqrt(sum(m * m for m in mesh))
-        vals = np.stack([barenblatt_profile(rr, t, p, grid.n) for t in grid.times()])
-        return GridFunction(grid, vals)
-    raise ValueError(f"unknown reference solution {name!r}")
+    if name == "heat_mode" and p != 2.0:
+        raise ValueError("heat_mode requires p = 2")
+    if name == "barenblatt" and p <= 2.0:
+        raise ValueError("barenblatt requires p > 2")
+    if name == "barenblatt" and grid.t_start <= 0.0:
+        raise ValueError("barenblatt needs a time range bounded away from 0")
+    return GridFunction(grid, reference_slice(name, grid, grid.times()[(...,) + (None,) * n], p))
 
 
 def semi_discrete_residual(u: GridFunction, p: float, source: SourceSpec | None = None,
@@ -547,18 +545,15 @@ def semi_discrete_residual(u: GridFunction, p: float, source: SourceSpec | None 
     refinement wherever the field is twice differentiable.
     """
     grid = u.grid
-    f = make_source(source, grid).field.values if source is not None else 0.0
     out = np.zeros(grid.shape)
-    h, dt = grid.h, grid.dt
-    for m in range(1, grid.num_times - 1):
-        ut = (u.values[m + 1] - u.values[m - 1]) / (2.0 * dt)
-        faces = _face_diffusivities(u.values[m], h, p, eps_reg)
-        lap = _div_flux(u.values[m], faces, h)
-        res = ut - lap
-        if source is not None:
-            res = res - f[m]
-        inner = tuple(slice(1, -1) for _ in range(grid.n))
-        out[m][inner] = res[inner]
+    space = (Ellipsis,) + (slice(1, -1),) * grid.n
+    v = u.values
+    # the interior slices are a batch of slices for one operator build
+    op = _StepOperator(v[1:-1], grid.n, grid.h, p, eps_reg, 1.0)
+    res = (v[2:][space] - v[:-2][space]) / (2.0 * grid.dt) - op.flux(v[1:-1])
+    if source is not None:
+        res -= _source_field(source, grid).values[1:-1][space]
+    out[1:-1][space] = res
     return GridFunction(grid, out)
 
 
@@ -590,7 +585,7 @@ def weak_residual(u: GridFunction, source: SourceSpec, psi: GridFunction,
     _, tw = region.time_weights(grid)
     sw = region.space_weights(grid)[blk.box]
     _check_compact_support(psi, region, blk)
-    f = make_source(source, grid).field
+    f = _source_field(source, grid)
 
     space = tuple(range(1, grid.n + 1))
     uv, pv, fv = (v.values[blk.index] for v in (u, psi, f))

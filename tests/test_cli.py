@@ -15,6 +15,7 @@ from plaplab.cli import (
     run_experiment,
 )
 from plaplab.grids import read_binary
+from plaplab.solver import reference_solutions
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -90,6 +91,15 @@ def test_solve_subcommand_writes_solution(tmp_path):
     assert u.grid.nodes_per_axis == 33
     summary = json.loads((out / "summary.json").read_text())
     assert summary["measured"]["sup_abs_u"] <= 1.0 + 1e-9
+
+
+def test_eigenmode_initial_field_is_the_first_reference_slice(tmp_path):
+    payload = json.loads(json.dumps(SOLVE_CFG))
+    payload["params"]["n"] = 2
+    payload["solve"]["initial"] = {"kind": "eigenmode", "value": 0.5}
+    cfg = load_config(write_config(tmp_path, payload))
+    field = reference_solutions("heat_mode", 2.0, 2, cfg.grid)
+    assert np.array_equal(cli._initial_field(cfg, cfg.grid), 0.5 * field.values[0])
 
 
 def test_solve_exponent_round_trip_deterministic(tmp_path):

@@ -26,6 +26,7 @@ from plaplab.solver import (
     caccioppoli_gap,
     make_cutoff,
     make_source,
+    reference_slice,
     reference_solutions,
     semi_discrete_residual,
     solve,
@@ -153,6 +154,66 @@ def test_explicit_scheme_matches_implicit_and_cfl_guard():
     bad = grid1d(h=h, dt=2.0 * h * h, t_end=0.01)
     with pytest.raises(CflError):
         solve(bad, cfg_e, src, reference_solutions("heat_mode", 2.0, 1, bad).values[0])
+
+
+# ---------------------------------------------------------------------------
+# 2D and 3D schemes
+
+def box_grid(n, h, dt, steps):
+    return SpaceTimeGrid(n=n, extent=1.0, h=h, dt=dt, t_start=0.0, t_end=steps * dt)
+
+
+@pytest.mark.parametrize("scheme", ["explicit", "semi_implicit"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_nd_schemes_converge_to_the_heat_eigenmode(n, scheme):
+    # dt = h^2 / 10 is inside the explicit bound 0.45 h^2 / n; the error is
+    # O(h^2) in space and O(dt) = O(h^2) in time
+    errs = []
+    for h in (1 / 8, 1 / 16):
+        dt = 0.1 * h * h
+        g = box_grid(n, h, dt, round(0.02 / dt))
+        mode = reference_solutions("heat_mode", 2.0, n, g)
+        cfg = SolveConfig(p=2.0, scheme=scheme, boundary=BoundarySpec(kind="zero"))
+        u = solve(g, cfg, SourceSpec(kind="zero"), mode.values[0])
+        errs.append(float(np.max(np.abs(u.values[-1] - mode.values[-1]))))
+    assert np.log2(errs[0] / errs[1]) >= 1.7
+    assert errs[1] < 4e-3
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_nd_explicit_cfl_guard(n):
+    # at p = 2 the diffusivity is 1, so the bound is dt <= 0.45 h^2 / n
+    h = 1 / 8
+    bound = 0.45 * h * h / n
+    cfg = SolveConfig(p=2.0, scheme="explicit", boundary=BoundarySpec(kind="zero"))
+    init = np.zeros(box_grid(n, h, bound, 2).spatial_shape)
+    solve(box_grid(n, h, 0.95 * bound, 2), cfg, SourceSpec(kind="zero"), init)
+    with pytest.raises(CflError, match="exceeds stability bound"):
+        solve(box_grid(n, h, 1.05 * bound, 2), cfg, SourceSpec(kind="zero"), init)
+
+
+@pytest.mark.parametrize("scheme", ["explicit", "semi_implicit"])
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("n", [2, 3])
+def test_nd_affine_field_stays_affine(n, p, scheme):
+    # an affine field has a constant gradient, so div(D grad u) = 0: the
+    # interior must stay on the plane the non-zero Dirichlet data lie on
+    h = 1 / 8
+    g = box_grid(n, h, 0.05 * h * h, 6)
+    bd = BoundarySpec(kind="affine", value=0.1, gradient=(0.3, -0.2, 0.1)[:n])
+    plane = bd.evaluate(g, 0.0)
+    u = solve(g, SolveConfig(p=p, scheme=scheme, boundary=bd), SourceSpec(kind="zero"), plane)
+    assert float(np.max(np.abs(u.values - plane))) < 1e-10
+
+
+def test_reference_slice_is_a_slice_of_the_reference_field():
+    for name, p, t_start in (("heat_mode", 2.0, 0.0), ("barenblatt", 3.0, 1.0)):
+        for n in (1, 2, 3):
+            g = SpaceTimeGrid(n=n, extent=1.0, h=1 / 8, dt=1 / 64, t_start=t_start,
+                              t_end=t_start + 4 / 64)
+            field = reference_solutions(name, p, n, g)
+            for j, t in enumerate(g.times()):
+                assert np.array_equal(reference_slice(name, g, t, p), field.values[j])
 
 
 def test_inner_solve_divergence_reports():
