@@ -29,8 +29,8 @@ class SpaceTimeGrid:
     """Uniform grid on [-extent, extent]^n x (t_start, t_end].
 
     Nodes sit at integer multiples of h per spatial axis (boundary included)
-    and at t_start + j*dt in time, with the initial slice stored. Node
-    counts must be at least 3 per axis.
+    and at t_start + j*dt in time, with the initial slice stored and the
+    last one at t_end exactly. Node counts must be at least 3 per axis.
     """
 
     n: int
@@ -76,7 +76,11 @@ class SpaceTimeGrid:
         return -self.extent + self.h * np.arange(self.nodes_per_axis)
 
     def times(self) -> np.ndarray:
-        return self.t_start + self.dt * np.arange(self.num_times)
+        """t_start + j*dt, with the last node exactly t_end (the product can
+        fall an ulp short of it)."""
+        ts = self.t_start + self.dt * np.arange(self.num_times)
+        ts[-1] = self.t_end
+        return ts
 
     def spatial_axes(self) -> tuple[np.ndarray, ...]:
         return (self.axis_nodes(),) * self.n

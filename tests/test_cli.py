@@ -145,6 +145,19 @@ def test_probe_subcommand(tmp_path):
     assert lines[0] == "k,rho,theta_k,S_k,bound_k,ratio"
 
 
+def test_probe_at_t_end_of_a_grid_whose_times_fall_short_of_it(tmp_path):
+    # t_start + dt * (num_times - 1) is 0.49999999999999994 on this grid, and
+    # the default center rule puts every center at t_end
+    cfg = json.loads(json.dumps(SOLVE_CFG))
+    cfg["scenario"] = "probe-at-t-end"
+    cfg["grid"] = {"h": 1 / 128, "dt": 1.5e-4, "t_start": 0.05, "t_end": 0.5}
+    cfg["probe"] = {"lambda": 0.45, "K": 4, "mode": "affine"}
+    out = tmp_path / "t_end_out"
+    assert main(["probe", str(write_config(tmp_path, cfg)), "--out", str(out)]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["measured"]["centers"]
+
+
 def test_probe_zero_source_constant_data_unfittable(tmp_path):
     cfg = json.loads(json.dumps(SOLVE_CFG))
     cfg["scenario"] = "flat-probe"

@@ -40,6 +40,24 @@ def test_grid_nodes():
     assert g.num_times == 17
 
 
+def test_last_time_node_is_t_end():
+    # t_start + dt * j can land an ulp off t_end, e.g. 0.49999999999999994
+    # for (0.05, 1.5e-4, 0.5) and 0.30000000000000004 for (0.1, 1e-3, 0.3)
+    checked = 0
+    for t_start in (0.0, 0.05, 0.1, 0.3):
+        for dt in (0.1, 1e-3, 2e-4, 1.5e-4, 2e-5):
+            for t_end in (0.3, 0.5, 1.0, 1.3):
+                span = (t_end - t_start) / dt
+                if t_end <= t_start or abs(span - round(span)) > 1e-9 * span:
+                    continue
+                g = SpaceTimeGrid(n=1, extent=1.0, h=0.5, dt=dt, t_start=t_start, t_end=t_end)
+                ts = g.times()
+                assert ts[-1] == t_end
+                assert np.array_equal(ts[:-1], t_start + dt * np.arange(g.num_times - 1))
+                checked += 1
+    assert checked >= 40
+
+
 def test_gridfunction_shape_and_immutability():
     g = small_grid()
     u = GridFunction(g, np.zeros(g.shape))

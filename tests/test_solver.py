@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,15 @@ from plaplab.solver import (
     truncation_estimate,
     weak_residual,
 )
-from plaplab.solver import _tridiag_factor, _tridiag_solve
+from plaplab.solver import (
+    _dst_basis,
+    _fast_diagonal_preconditioner,
+    _pcg,
+    _shifted,
+    _StepOperator,
+    _tridiag_factor,
+    _tridiag_solve,
+)
 
 
 def grid1d(h=1 / 32, dt=None, t_end=0.1, t_start=0.0, extent=1.0):
@@ -226,6 +235,120 @@ def test_inner_solve_divergence_reports():
         solve(g, cfg, SourceSpec(kind="constant", c=1.0), rng.random(g.spatial_shape))
 
 
+@pytest.mark.parametrize("kind", ["zero", "constant"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_scalar_sources_match_their_tabulated_fields(n, kind):
+    # zero and constant sources are read as a scalar per step; the tabulated
+    # field of the same values must give the same bits, signed zeros included
+    h = {1: 1 / 16, 2: 1 / 8, 3: 1 / 4}[n]
+    g = box_grid(n, h, 0.02 * h * h, 4)  # inside the explicit bound
+    c = 0.0 if kind == "zero" else -0.7
+    table = GridFunction(g, np.full(g.shape, c))
+    init = 0.1 * np.random.default_rng(n).standard_normal(g.spatial_shape)
+    for scheme in ("semi_implicit", "explicit"):
+        cfg = SolveConfig(p=3.0, scheme=scheme, eps_reg=0.5, boundary=BoundarySpec(kind="zero"))
+        got = solve(g, cfg, SourceSpec(kind=kind, c=c), init).values
+        want = solve(g, cfg, SourceSpec(kind="tabulated", table=table), init).values
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_non_finite_constant_source_is_rejected():
+    g = box_grid(2, 1 / 8, 1 / 256, 2)
+    with pytest.raises(ValueError, match="not finite"):
+        solve(g, SolveConfig(p=2.0), SourceSpec(kind="constant", c=float("nan")),
+              np.zeros(g.spatial_shape))
+
+
+# ---------------------------------------------------------------------------
+# the 2D/3D inner solve
+
+def _random_coupling_operator(n, m, seed):
+    # a step operator on the m^n interior cube with random face couplings of
+    # contrast 1e3; the diagonal is rebuilt from them as the operator does
+    rng = np.random.default_rng(seed)
+    op = _StepOperator(np.zeros((m + 2,) * n), n, 1.0, 2.0, 0.0, 1.0)
+    op.diag = 1.0
+    for ax in range(n):
+        shape = [m] * n
+        shape[ax] = m + 1
+        c = 10.0 ** rng.uniform(-1.0, 2.0, shape)
+        lo, hi = _shifted(n, ax)
+        op.couplings[ax] = c
+        op.diag = op.diag + c[lo] + c[hi]
+    return op
+
+
+def _dense(linear, size, shape):
+    cols = []
+    for k in range(size):
+        e = np.zeros(size)
+        e[k] = 1.0
+        cols.append(linear(e.reshape(shape)).ravel())
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("n, m", [(2, 9), (3, 5)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_preconditioner_is_symmetric_positive_definite(n, m, seed):
+    op = _random_coupling_operator(n, m, seed)
+    precond = _fast_diagonal_preconditioner(op, _dst_basis(m))
+
+    def minv(r):
+        out = np.empty_like(r)
+        precond(r, out)
+        return out
+
+    dense = _dense(minv, m**n, (m,) * n)
+    assert np.max(np.abs(dense - dense.T)) <= 1e-12 * np.max(np.abs(dense))
+    assert np.linalg.eigvalsh(0.5 * (dense + dense.T)).min() > 0.0  # x . M x > 0 for every x
+    # and the step matrix it preconditions is the symmetric one CG needs
+    a = _dense(op.apply, m**n, (m,) * n)
+    assert np.max(np.abs(a - a.T)) <= 1e-12 * np.max(np.abs(a))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_preconditioner_is_exact_at_p2(n):
+    # at p = 2 the couplings are all dt / h^2, and the fast-diagonalisation
+    # inverse is the inverse of the step matrix
+    h = 1 / 8
+    m = 2 * 8 - 1
+    rng = np.random.default_rng(n)
+    u = rng.standard_normal((m + 2,) * n)
+    op = _StepOperator(u, n, h, 2.0, h, 3e-2)
+    precond = _fast_diagonal_preconditioner(op, _dst_basis(m))
+    r = rng.standard_normal((m,) * n)
+    z = np.empty_like(r)
+    precond(r, z)
+    assert np.max(np.abs(op.apply(z) - r)) <= 1e-12 * np.max(np.abs(r))
+    x0 = rng.standard_normal((m,) * n)
+    x, iters = _pcg(op.apply, r, x0, precond, 1e-10, 5)
+    assert iters == 1
+    assert x is x0
+    assert np.linalg.norm(op.apply(x) - r) <= 1e-10 * np.linalg.norm(r)
+
+
+def test_preconditioned_3d_p3_step_iterations():
+    # the first step of the 3D p = 3 heat-mode solve (h = 1/32, dt = 1e-3):
+    # Jacobi-preconditioned CG took 39-41 iterations here
+    g = box_grid(3, 1 / 32, 1e-3, 2)
+    u = reference_solutions("heat_mode", 2.0, 3, g).values[0]
+    op = _StepOperator(u, 3, g.h, 3.0, g.h, g.dt)
+    inner = (slice(1, -1),) * 3
+    precond = _fast_diagonal_preconditioner(op, _dst_basis(g.nodes_per_axis - 2))
+    x, iters = _pcg(op.apply, u[inner].copy(), u[inner].copy(), precond, 1e-10, 500)
+    assert iters <= 16
+    assert np.linalg.norm(op.apply(x) - u[inner]) <= 1e-10 * np.linalg.norm(u[inner])
+
+
+def test_inner_solve_may_converge_on_its_last_iteration():
+    # at p = 2 a step converges in one iteration, so one is enough
+    g = SpaceTimeGrid(n=2, extent=1.0, h=1 / 16, dt=1 / 64, t_start=0.0, t_end=3 / 64)
+    cfg = SolveConfig(p=2.0, max_inner_iters=1, newton_tol=1e-10,
+                      boundary=BoundarySpec(kind="zero"))
+    init = np.random.default_rng(0).random(g.spatial_shape)
+    solve(g, cfg, SourceSpec(kind="constant", c=1.0), init)
+
+
 @pytest.mark.parametrize("p, what", [(2.0, "solution is not finite"), (3.0, "pivot nan")])
 def test_direct_solve_reports_nan_initial_data(p, what):
     # at p = 2 the diffusivity ignores the NaN and the step matrix stays
@@ -350,6 +473,57 @@ def test_barenblatt_dirichlet_solve_second_order():
     order = np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
     assert min(order) >= 1.7
     assert errs[-1] < 1e-4
+
+
+@pytest.mark.parametrize("n, extent, hs", [(2, 2.0, (1 / 8, 1 / 16, 1 / 32)),
+                                           (3, 1.5, (1 / 8, 1 / 16))])
+def test_barenblatt_dirichlet_solve_second_order_nd(n, extent, hs):
+    # as the 1D test, through the preconditioned conjugate gradients: the box
+    # lies inside the support, dt = h^2, and the window keeps off the cusp
+    p = 3.0
+    cfg = SolveConfig(p=p, boundary=BoundarySpec(kind="reference", name="barenblatt"))
+    errs = []
+    for h in hs:
+        g = SpaceTimeGrid(n=n, extent=extent, h=h, dt=h * h, t_start=1.0, t_end=1.0 + 0.125)
+        exact = reference_solutions("barenblatt", p, n, g)
+        u = solve(g, cfg, SourceSpec(kind="zero"), exact.values[0])
+        rad = barenblatt_support_radius(g.t_end, p, n)
+        assert rad > extent * np.sqrt(n)
+        r = np.sqrt(sum(x * x for x in g.meshgrid()))
+        window = (r > 0.25 * rad) & (r < 0.5 * rad)
+        errs.append(float(np.max(np.abs(u.values[-1] - exact.values[-1])[window])))
+    assert min(np.log2(np.array(errs[:-1]) / np.array(errs[1:]))) >= 1.7
+    assert errs[-1] < 1e-3
+
+
+@pytest.mark.parametrize("n, h, extent", [(1, 1 / 32, 4.0), (2, 1 / 16, 4.0), (3, 1 / 4, 2.0)])
+def test_semi_discrete_residual_matches_one_batched_build(n, h, extent):
+    # the residual as one operator build over every interior slice; the
+    # chunked build must give the same bits, a short last chunk included
+    g = SpaceTimeGrid(n=n, extent=extent, h=h, dt=h * h, t_start=1.0, t_end=1.0 + 32 * h * h)
+    u = reference_solutions("barenblatt", 3.0, n, g)
+    v, space = u.values, (Ellipsis,) + (slice(1, -1),) * n
+    for source, eps in ((None, 0.0), (SourceSpec(kind="constant", c=0.3), 0.01)):
+        op = _StepOperator(v[1:-1], n, g.h, 3.0, eps, 1.0)
+        want = np.zeros(g.shape)
+        want[1:-1][space] = (v[2:][space] - v[:-2][space]) / (2.0 * g.dt) - op.flux(v[1:-1])
+        if source is not None:
+            want[1:-1][space] -= make_source(source, g).field.values[1:-1][space]
+        assert np.array_equal(semi_discrete_residual(u, 3.0, source, eps).values, want)
+
+
+def test_semi_discrete_residual_memory_is_bounded():
+    # the operator is built over bounded chunks of slices: the peak is the
+    # result and its frozen copy plus a fraction of the field
+    g = SpaceTimeGrid(n=2, extent=4.0, h=1 / 32, dt=1 / 1024, t_start=1.0, t_end=1.0 + 32 / 1024)
+    u = reference_solutions("barenblatt", 3.0, 2, g)
+    tracemalloc.start()
+    try:
+        semi_discrete_residual(u, 3.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.0 * u.values.nbytes
 
 
 def test_barenblatt_residual_first_order():
