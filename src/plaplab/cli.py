@@ -38,6 +38,7 @@ EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_PROBE = 4
+_REQUIRED = object()  # the default of a _num field without one
 
 
 class ConfigError(ValueError):
@@ -46,19 +47,30 @@ class ConfigError(ValueError):
         self.field_path = path
 
 
-def _num(block: dict, key: str, path: str, required=True, default=None):
-    if key not in block:
-        if required:
-            raise ConfigError(f"{path}.{key}", "missing required field")
-        return default
-    val = block[key]
+def _number(val, where: str) -> float:
+    """val as a float; "inf" and "infinity" are infinite, NaN is rejected."""
     if isinstance(val, str):
         if val.lower() in ("inf", "infinity"):
             return math.inf
-        raise ConfigError(f"{path}.{key}", f"expected a number, got {val!r}")
+        raise ConfigError(where, f"expected a number, got {val!r}")
     if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{path}.{key}", f"expected a number, got {type(val).__name__}")
+        raise ConfigError(where, f"expected a number, got {type(val).__name__}")
+    if math.isnan(val):
+        raise ConfigError(where, "expected a number, got NaN")
     return float(val)
+
+
+def _num(block: dict, key: str, path: str, default=_REQUIRED, integer=False):
+    """The number block[key] of the block at path ("" on top), required unless defaulted."""
+    where = f"{path}.{key}" if path else key
+    if key not in block:
+        if default is _REQUIRED:
+            raise ConfigError(where, "missing required field")
+        return default
+    val = _number(block[key], where)
+    if integer and not val.is_integer():
+        raise ConfigError(where, f"expected an integer, got {val!r}")
+    return int(val) if integer else val
 
 
 @dataclass(frozen=True)
@@ -100,10 +112,10 @@ def load_config(path) -> ExperimentConfig:
         try:
             params = ProblemParams(
                 p=_num(blk, "p", "params"),
-                n=int(_num(blk, "n", "params")),
+                n=_num(blk, "n", "params", integer=True),
                 q=_num(blk, "q", "params"),
                 r=_num(blk, "r", "params"),
-                alpha_h=_num(blk, "alpha_h", "params", required=False),
+                alpha_h=_num(blk, "alpha_h", "params", default=None),
             )
         except ValueError as exc:
             raise ConfigError("params", str(exc))
@@ -113,11 +125,11 @@ def load_config(path) -> ExperimentConfig:
         blk = raw["grid"]
         try:
             grid = SpaceTimeGrid(
-                n=int(_num(blk, "n", "grid", required=False, default=params.n if params else 1)),
-                extent=_num(blk, "extent", "grid", required=False, default=1.0),
+                n=_num(blk, "n", "grid", default=params.n if params else 1, integer=True),
+                extent=_num(blk, "extent", "grid", default=1.0),
                 h=_num(blk, "h", "grid"),
                 dt=_num(blk, "dt", "grid"),
-                t_start=_num(blk, "t_start", "grid", required=False, default=0.0),
+                t_start=_num(blk, "t_start", "grid", default=0.0),
                 t_end=_num(blk, "t_end", "grid"),
             )
         except ValueError as exc:
@@ -131,19 +143,23 @@ def load_config(path) -> ExperimentConfig:
         kind = bblk.get("kind", "zero")
         if kind not in ("zero", "constant", "affine", "reference"):
             raise ConfigError("solve.boundary.kind", f"unsupported kind {kind!r}")
+        gradient = bblk.get("gradient", [])
+        if not isinstance(gradient, list):
+            raise ConfigError("solve.boundary.gradient", "expected a list of numbers")
         boundary = BoundarySpec(
             kind=kind,
-            value=float(bblk.get("value", 0.0)),
-            gradient=tuple(bblk.get("gradient", ())),
+            value=_num(bblk, "value", "solve.boundary", default=0.0),
+            gradient=tuple(_number(g, f"solve.boundary.gradient[{i}]")
+                           for i, g in enumerate(gradient)),
             name=bblk.get("name", ""),
         )
         try:
             solve_config = SolveConfig(
                 p=params.p if params else _num(blk, "p", "solve"),
-                eps_reg=_num(blk, "eps_reg", "solve", required=False),
+                eps_reg=_num(blk, "eps_reg", "solve", default=None),
                 scheme=blk.get("scheme", "semi_implicit"),
-                newton_tol=_num(blk, "newton_tol", "solve", required=False, default=1e-10),
-                max_inner_iters=int(_num(blk, "max_inner_iters", "solve", required=False, default=500)),
+                newton_tol=_num(blk, "newton_tol", "solve", default=1e-10),
+                max_inner_iters=_num(blk, "max_inner_iters", "solve", default=500, integer=True),
                 boundary=boundary,
             )
         except ValueError as exc:
@@ -152,7 +168,7 @@ def load_config(path) -> ExperimentConfig:
         initial_kind = init.get("kind", "zero")
         if initial_kind not in ("zero", "constant", "eigenmode", "boundary"):
             raise ConfigError("solve.initial.kind", f"unsupported kind {initial_kind!r}")
-        initial_value = float(init.get("value", 0.0))
+        initial_value = _num(init, "value", "solve.initial", default=0.0)
 
     source = None
     if "source" in raw:
@@ -162,12 +178,12 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError("source.kind", f"unsupported kind {kind!r}")
         source = SourceSpec(
             kind=kind,
-            c=float(blk.get("c", 0.0)),
-            a=float(blk.get("a", 0.0)),
-            b=float(blk.get("b", 0.0)),
-            amplitude=float(blk.get("amplitude", 1.0)),
-            q=_num(blk, "q", "source", required=False, default=params.q if params else math.inf),
-            r=_num(blk, "r", "source", required=False, default=params.r if params else math.inf),
+            c=_num(blk, "c", "source", default=0.0),
+            a=_num(blk, "a", "source", default=0.0),
+            b=_num(blk, "b", "source", default=0.0),
+            amplitude=_num(blk, "amplitude", "source", default=1.0),
+            q=_num(blk, "q", "source", default=params.q if params else math.inf),
+            r=_num(blk, "r", "source", default=params.r if params else math.inf),
         )
 
     return ExperimentConfig(
@@ -182,7 +198,7 @@ def load_config(path) -> ExperimentConfig:
         initial_kind=initial_kind,
         initial_value=initial_value,
         output_dir=raw.get("output_dir", "out"),
-        seed=int(raw.get("seed", 0)),
+        seed=_num(raw, "seed", "", default=0, integer=True),
         sha256=config_digest(raw),
     )
 
@@ -259,17 +275,16 @@ def run_exponent(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
 
 def run_region(cfg: ExperimentConfig, out_dir: Path) -> dict:
-    params_blk = cfg.raw.get("params", {})
     blk = cfg.region_block or {}
-    p = _num(params_blk, "p", "params") if "p" in params_blk else _num(blk, "p", "region")
-    n = int(_num(params_blk, "n", "params")) if "n" in params_blk else int(_num(blk, "n", "region"))
-    resolution = int(blk.get("resolution", 32))
+    p = cfg.params.p if cfg.params else _num(blk, "p", "region")
+    n = cfg.params.n if cfg.params else _num(blk, "n", "region", integer=True)
+    resolution = _num(blk, "resolution", "region", default=32, integer=True)
     scan = expo.admissible_region(
         p,
         n,
         resolution,
-        q_max=_num(blk, "q_max", "region", required=False),
-        r_max=_num(blk, "r_max", "region", required=False),
+        q_max=_num(blk, "q_max", "region", default=None),
+        r_max=_num(blk, "r_max", "region", default=None),
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     scan.to_csv(out_dir / "region.csv")
@@ -314,10 +329,12 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
 
 def _probe_centers(cfg: ExperimentConfig, u: GridFunction, params, lam: float) -> list:
-    blk = cfg.probe_block
+    blk = cfg.probe_block or {}
     grid = u.grid
-    if blk.get("centers"):
-        return [(tuple(float(v) for v in c[:-1]), float(c[-1])) for c in blk["centers"]]
+    if blk.get("centers"):  # each [x_1, ..., x_n, t]
+        rows = [[_number(v, f"probe.centers[{i}][{k}]") for k, v in enumerate(c)]
+                for i, c in enumerate(blk["centers"])]
+        return [(tuple(row[:-1]), row[-1]) for row in rows]
     rule = blk.get("center_rule", "critical_extrema")
     if rule != "critical_extrema":
         raise ConfigError("probe.center_rule", f"unsupported rule {rule!r}")
@@ -344,7 +361,7 @@ def _probe_centers(cfg: ExperimentConfig, u: GridFunction, params, lam: float) -
         if v0 >= max(neigh) or v0 <= min(neigh):
             x = tuple(float(-grid.extent + i * grid.h) for i in ix)
             cand.append((x, float(grid.t_end)))
-    max_centers = int(blk.get("max_centers", 4))
+    max_centers = _num(blk, "max_centers", "probe", default=4, integer=True)
     if len(cand) > max_centers:
         rng = np.random.default_rng(cfg.seed)
         keep = rng.choice(len(cand), size=max_centers, replace=False)
@@ -356,8 +373,8 @@ def run_probe(cfg: ExperimentConfig, out_dir: Path) -> dict:
     params = _require(cfg, "params", "params")
     grid = _require(cfg, "grid", "grid")
     blk = cfg.probe_block or {}
-    lam = float(blk.get("lambda", 0.25))
-    K = int(blk.get("K", 6))
+    lam = _num(blk, "lambda", "probe", default=0.25)
+    K = _num(blk, "K", "probe", default=6, integer=True)
     mode = blk.get("mode", "affine")
     sc = _require(cfg, "solve_config", "solve")
     source = cfg.source or SourceSpec(kind="zero", q=params.q, r=params.r)
@@ -494,9 +511,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload = run_experiment(args.config, args.subcommand, args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except solver.SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -88,13 +88,6 @@ class SpaceTimeGrid:
     def meshgrid(self) -> tuple[np.ndarray, ...]:
         return np.meshgrid(*self.spatial_axes(), indexing="ij")
 
-    def time_index(self, t: float) -> int:
-        """Index of the nearest time slice; rejects t outside the grid."""
-        j = int(round((t - self.t_start) / self.dt))
-        if j < 0 or j >= self.num_times:
-            raise ValueError(f"t = {t} outside grid time range")
-        return j
-
     def space_index(self, x: tuple[float, ...] | np.ndarray) -> tuple[int, ...]:
         """Multi-index of the nearest spatial node."""
         idx = []
@@ -157,9 +150,6 @@ class GridFunction:
     def value_at(self, x, t: float) -> float:
         idx, weights = self._cell(x, t)
         return float(weights @ self.values[tuple(idx)])
-
-    def slice(self, it: int) -> np.ndarray:
-        return self.values[it]
 
     def gradient_slice(self, it: int) -> np.ndarray:
         """Spatial gradient of slice it, shape (n, nodes, ...).

@@ -2,15 +2,15 @@
 
 One step operator (_StepOperator), built once per step from the lagged
 diffusivity (|grad u_old|^2 + eps^2)^((p-2)/2), serves every scheme and the
-semi-discrete residual. The default scheme is semi-implicit: each step
-solves one symmetric positive definite linear system. In 1D that system is
-tridiagonal and is solved directly by cyclic reduction; in 2D and 3D it is
-solved by conjugate gradients, to the tolerance newton_tol within
-max_inner_iters iterations, preconditioned by the fast-diagonalisation
-(DST-I) inverse of the constant-coefficient step matrix with the mean
-coupling, scaled to the operator's diagonal. At p = 2 that preconditioner
-is the exact inverse, so a step takes one iteration. An explicit scheme is
-available behind a CFL guard. Dirichlet data only; the theory being
+semi-discrete residual, and one time loop marches every dimension under
+both schemes. The default scheme is semi-implicit: each step solves one SPD
+linear system with the operator's step solver, directly by cyclic reduction
+in 1D, and in 2D and 3D by conjugate gradients to newton_tol within
+max_inner_iters, preconditioned by the fast-diagonalisation (DST-I) inverse
+of the constant-coefficient step matrix with the mean coupling, scaled to
+the operator's diagonal. At p = 2 the operator and its step solver are
+built once per solve. The explicit scheme runs behind a CFL guard; a failed
+step names its step and time. Dirichlet data only; the theory being
 exercised is interior.
 
 Alongside the solver live its verification surfaces: reference solutions
@@ -111,8 +111,12 @@ class SolveConfig:
     def __post_init__(self):
         if self.scheme not in ("semi_implicit", "explicit"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.eps_reg is not None and self.eps_reg < 0:
-            raise ValueError("eps_reg must be nonnegative")
+        if self.eps_reg is not None and not self.eps_reg >= 0:  # NaN included
+            raise ValueError(f"eps_reg must be nonnegative, got {self.eps_reg}")
+        if not (math.isfinite(self.newton_tol) and self.newton_tol > 0):
+            raise ValueError(f"newton_tol must be finite and positive, got {self.newton_tol}")
+        if self.max_inner_iters < 1:
+            raise ValueError(f"max_inner_iters must be at least 1, got {self.max_inner_iters}")
 
     def resolved_eps(self, grid: SpaceTimeGrid) -> float:
         eps = grid.h if self.eps_reg is None else self.eps_reg
@@ -258,6 +262,8 @@ class _StepOperator:
     couplings[ax] holds scale * D / h^2, D = (|grad u|^2 + eps^2)^((p-2)/2)
     averaged onto the axis-ax faces that touch an interior node; diag is the
     diagonal of the step matrix I - scale div(D grad .) on interior nodes.
+    _ends holds (couplings, interior end, its Dirichlet node) per axis end for
+    add_boundary, indexed without an Ellipsis so a 1D end reads as a scalar.
     """
 
     def __init__(self, u: np.ndarray, n: int, h: float, p: float, eps: float, scale: float):
@@ -272,12 +278,17 @@ class _StepOperator:
         self.n = n
         self.couplings = []
         self.diag = 1.0
+        self._ends = []
+        lead, inner = (slice(None),) * (u.ndim - n), (slice(1, -1),)
         for ax in range(n):
             lo, hi = _shifted(n, ax)
             d = d_node[_on_axis(n, ax, slice(None), slice(1, -1))]
             c = (scale / (h * h)) * (0.5 * (d[lo] + d[hi]))
             self.couplings.append(c)
             self.diag = self.diag + c[lo] + c[hi]
+            for end in (0, -1):
+                self._ends.append((c, lead + (slice(None),) * ax + (end,),
+                                   lead + inner * ax + (end,) + inner * (n - 1 - ax)))
 
     def flux(self, v: np.ndarray) -> np.ndarray:
         """scale * div(D grad v) at the interior nodes of v."""
@@ -301,11 +312,10 @@ class _StepOperator:
         return out
 
     def add_boundary(self, rhs: np.ndarray, b: np.ndarray) -> None:
-        """Add the couplings of the interior nodes to the Dirichlet values of b."""
-        for ax, c in enumerate(self.couplings):
-            for end in (0, -1):
-                at_end = _on_axis(self.n, ax, end)
-                rhs[at_end] += c[at_end] * b[_on_axis(self.n, ax, end, slice(1, -1))]
+        """Add the couplings of the interior nodes to the Dirichlet values of b;
+        rhs and b have the leading axes of the lagged field."""
+        for c, at_end, dirichlet in self._ends:
+            rhs[at_end] += c[at_end] * b[dirichlet]
 
 
 def _dst_basis(m: int) -> np.ndarray:
@@ -436,7 +446,7 @@ def _tridiag_factor(diag: np.ndarray, off: np.ndarray) -> list:
 
 
 def _tridiag_solve(levels: list, rhs: np.ndarray) -> np.ndarray:
-    """Solve with a _tridiag_factor factor; raises SolverError on a non-finite solution.
+    """Solve with a _tridiag_factor factor.
 
     Level j works in place on every 2^j-th row of the padded right-hand
     side: forward elimination folds the eliminated rows into the kept ones,
@@ -459,39 +469,18 @@ def _tridiag_solve(levels: list, rhs: np.ndarray) -> np.ndarray:
         elim[:-1] += lo * kept
         elim[1:] += hi * kept
         stride //= 2
-    x = d[:n]
-    if not np.isfinite(x).all():
-        raise SolverError("tridiagonal solution is not finite")
-    return x
+    return d[:n]
 
 
-def _march_tridiagonal(out: np.ndarray, source_at, boundary_at, times: np.ndarray,
-                       h: float, dt: float, p: float, eps: float) -> None:
-    """1D semi-implicit march: fill out[1:] from out[0].
-
-    The step matrix I - dt div(D grad .) on the interior nodes is tridiagonal
-    with the step operator's face couplings c = dt D / h^2, so each step
-    builds it once and solves it directly. At p = 2 the diffusivity is
-    identically 1 and the first step's factor is reused.
-    """
-    u = out[0]
-    levels = None
-    for m in range(1, len(times)):
-        try:
-            if levels is None or p != 2.0:
-                op = _StepOperator(u, 1, h, p, eps, dt)
-                c = op.couplings[0]
-                levels = _tridiag_factor(op.diag, -c[1:-1])
-            b = boundary_at(times[m])
-            rhs = u[1:-1] + dt * source_at(m)
-            rhs[0] += c[0] * b[0]
-            rhs[-1] += c[-1] * b[-1]
-            w = _tridiag_solve(levels, rhs)
-        except SolverError as exc:
-            raise SolverError(f"1D direct solve at step {m} (t = {times[m]:.6g}): {exc}") from None
-        u = out[m]
-        u[0], u[-1] = b[0], b[-1]
-        u[1:-1] = w
+def _step_solver(op: _StepOperator, basis: np.ndarray | None, config: SolveConfig):
+    """step_solve(rhs, x) solves the step matrix of op against rhs into x,
+    which holds the start: by a tridiagonal factor in 1D, by preconditioned
+    conjugate gradients in 2D and 3D."""
+    if op.n == 1:
+        levels = _tridiag_factor(op.diag, -op.couplings[0][1:-1])
+        return lambda rhs, x: np.copyto(x, _tridiag_solve(levels, rhs))
+    precond = _fast_diagonal_preconditioner(op, basis)
+    return lambda rhs, x: _pcg(op.apply, rhs, x, precond, config.newton_tol, config.max_inner_iters)
 
 
 def solve(
@@ -503,12 +492,13 @@ def solve(
     """Time-march the regularized flow from `initial` under Dirichlet data.
 
     Semi-implicit: one SPD solve per step with the lagged diffusivity,
-    unconditionally stable, first order in dt and second in h; direct in 1D,
-    conjugate gradients to newton_tol within max_inner_iters in 2D and 3D,
-    preconditioned by the DST-I inverse of the step matrix with its mean
-    coupling, scaled to its diagonal (exact at p = 2).
+    unconditionally stable, first order in dt and second in h; the step
+    solver (_step_solver) is direct in 1D and conjugate gradients in 2D and
+    3D, and at p = 2 it is built once per solve, with the operator.
     Zero and constant sources are read as a scalar per step.
     Explicit: forward Euler, guarded by dt <= 0.9 h^2 / (2 n max D).
+    A CflError passes through unchanged; any other SolverError, a
+    non-finite slice included, is raised again naming its step and time.
     """
     initial = np.asarray(initial, dtype=float)
     if initial.shape != grid.spatial_shape:
@@ -531,31 +521,36 @@ def solve(
     u[inner] = initial[inner]
 
     h, dt = grid.h, grid.dt
-    if grid.n == 1 and config.scheme == "semi_implicit":
-        _march_tridiagonal(out, source_at, boundary_at, times, h, dt, p, eps)
-        return GridFunction(grid, out)
     explicit = config.scheme == "explicit"
-    basis = None if explicit else _dst_basis(grid.nodes_per_axis - 2)
-    op = None
+    basis = None if explicit or grid.n == 1 else _dst_basis(grid.nodes_per_axis - 2)
+    op = step_solve = None
     for m in range(1, grid.num_times):
-        if op is None or p != 2.0:  # at p = 2, D = 1 whatever u is
-            op = _StepOperator(u, grid.n, h, p, eps, dt)
-            cmax = max(float(c.max()) for c in op.couplings) if explicit else 0.0
-            if cmax > 0.45 / grid.n:  # dt > 0.9 h^2 / (2 n max D)
-                dmax = cmax * h * h / dt
-                raise CflError(f"explicit dt={dt:.3e} exceeds stability bound "
-                               f"{0.45 * h * h / (grid.n * dmax):.3e} (max diffusivity {dmax:.3e})")
-        u_new = out[m]
-        u_new[...] = boundary_at(times[m])
-        if explicit:
-            u_new[inner] = u[inner] + op.flux(u) + dt * source_at(m - 1)
-        else:
-            rhs = u[inner] + dt * source_at(m)
-            op.add_boundary(rhs, u_new)
-            u_new[inner] = u[inner]  # the start, solved in place
-            precond = _fast_diagonal_preconditioner(op, basis)
-            _pcg(op.apply, rhs, u_new[inner], precond, config.newton_tol, config.max_inner_iters)
-            del rhs, precond  # the step's workspace goes before the next build
+        try:
+            if op is None or p != 2.0:  # at p = 2, D = 1 whatever u is
+                op = step_solve = None  # the last step's solver goes before the next build
+                op = _StepOperator(u, grid.n, h, p, eps, dt)
+                cmax = max(float(c.max()) for c in op.couplings) if explicit else 0.0
+                if cmax > 0.45 / grid.n:  # dt > 0.9 h^2 / (2 n max D)
+                    dmax = cmax * h * h / dt
+                    raise CflError(f"explicit dt={dt:.3e} exceeds stability bound "
+                                   f"{0.45 * h * h / (grid.n * dmax):.3e} (max diffusivity {dmax:.3e})")
+                step_solve = None if explicit else _step_solver(op, basis, config)
+            u_new = out[m]
+            u_new[...] = boundary_at(times[m])
+            if explicit:
+                u_new[inner] = u[inner] + op.flux(u) + dt * source_at(m - 1)
+            else:
+                rhs = u[inner] + dt * source_at(m)
+                op.add_boundary(rhs, u_new)
+                u_new[inner] = u[inner]  # the start, solved in place
+                step_solve(rhs, u_new[inner])
+                del rhs  # the step's workspace goes before the next build
+            if not np.isfinite(u_new).all():
+                raise SolverError("solution is not finite")
+        except CflError:
+            raise
+        except SolverError as exc:
+            raise SolverError(f"step {m} (t = {times[m]:.6g}): {exc}") from None
         u = u_new
     return GridFunction(grid, out)
 

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from plaplab import cli
 from plaplab.cli import (
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_SOLVER,
     EXIT_VALIDATION,
     ConfigError,
     config_digest,
@@ -250,6 +253,65 @@ def test_solver_failure_exit_code(tmp_path):
     cfg["grid"] = {"h": 0.0625, "dt": 0.01, "t_end": 0.1}  # dt far above the CFL bound
     path = write_config(tmp_path, cfg)
     assert main(["solve", str(path), "--out", str(tmp_path / "boom")]) == 3
+
+
+def test_non_finite_explicit_step_exits_as_a_solver_failure(tmp_path, capsys, monkeypatch):
+    # a config cannot hold NaN, so the initial field is broken behind its back
+    cfg = json.loads(json.dumps(SOLVE_CFG))
+    cfg["solve"]["scheme"] = "explicit"
+    cfg["grid"] = {"h": 0.0625, "dt": 0.001, "t_end": 0.01}  # inside the CFL bound
+    monkeypatch.setattr(cli, "_initial_field", lambda _cfg, grid: np.full(grid.spatial_shape, np.nan))
+    path = write_config(tmp_path, cfg)
+    assert main(["solve", str(path), "--out", str(tmp_path / "nan")]) == EXIT_SOLVER == 3
+    assert "solver failure: step 1 (t = " in capsys.readouterr().err
+
+
+BAD_FIELDS = [
+    # (subcommand, entries set first as {block: {key: value}}, the bad field's
+    #  dotted path, its bad value, what the error must name)
+    ("solve", {"solve": {"boundary": {"kind": "constant"}}}, "solve.boundary.value", True,
+     "solve.boundary.value"),
+    ("solve", {"solve": {"boundary": {"kind": "affine"}}}, "solve.boundary.gradient", [0.1, "x"],
+     "solve.boundary.gradient[1]"),
+    ("solve", {"solve": {"initial": {"kind": "constant"}}}, "solve.initial.value", math.nan,
+     "solve.initial.value"),
+    ("solve", {"source": {"kind": "constant"}}, "source.c", "abc", "source.c"),
+    ("solve", {"source": {"kind": "constant"}}, "source.a", True, "source.a"),
+    ("solve", {"source": {"kind": "constant"}}, "source.b", math.nan, "source.b"),
+    ("solve", {"source": {"kind": "constant"}}, "source.amplitude", "x", "source.amplitude"),
+    ("solve", {}, "solve.newton_tol", math.nan, "solve.newton_tol"),
+    ("solve", {}, "solve.eps_reg", math.nan, "solve.eps_reg"),
+    ("solve", {}, "solve.newton_tol", -1.0, "solve: newton_tol"),
+    ("solve", {}, "solve.max_inner_iters", 0, "solve: max_inner_iters"),
+    ("solve", {}, "seed", True, "seed"),
+    ("probe", {}, "probe.lambda", math.nan, "probe.lambda"),
+    ("probe", {}, "probe.K", True, "probe.K"),
+    ("probe", {}, "probe.K", 5.5, "probe.K"),
+    ("probe", {"probe": {"centers": []}}, "probe.max_centers", "four", "probe.max_centers"),
+    ("probe", {}, "probe.centers", [[0.0, math.nan]], "probe.centers[0][1]"),
+    ("region", {}, "region.resolution", "abc", "region.resolution"),
+]
+
+
+@pytest.mark.parametrize("subcommand, setup, key, value, names", BAD_FIELDS,
+                         ids=[f"{key}={value!r}" for _, _, key, value, _ in BAD_FIELDS])
+def test_bad_numeric_field_is_a_config_error_naming_it(tmp_path, capsys, subcommand, setup, key,
+                                                       value, names):
+    cfg = probe_cfg()
+    cfg["grid"] = dict(SOLVE_CFG["grid"])  # probe centers are read after the solve
+    cfg["region"] = {"resolution": 8}
+    for name, entries in setup.items():
+        cfg[name].update(entries)
+    *parents, last = key.split(".")
+    target = cfg
+    for name in parents:
+        target = target[name]
+    target[last] = value
+    path = write_config(tmp_path, cfg)
+    with pytest.raises(ConfigError, match=re.escape(names)):
+        run_experiment(path, subcommand, str(tmp_path / "direct"))
+    assert main([subcommand, str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert names in capsys.readouterr().err
 
 
 def test_failed_validation_exit_code(tmp_path, capsys, monkeypatch):

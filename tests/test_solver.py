@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plaplab import solver as solver_module
 from plaplab.grids import (
     GridFunction,
     Region,
@@ -39,6 +40,7 @@ from plaplab.solver import (
     _fast_diagonal_preconditioner,
     _pcg,
     _shifted,
+    _source_reader,
     _StepOperator,
     _tridiag_factor,
     _tridiag_solve,
@@ -360,6 +362,89 @@ def test_direct_solve_reports_nan_initial_data(p, what):
         solve(g, SolveConfig(p=p), SourceSpec(kind="zero"), init)
 
 
+# ---------------------------------------------------------------------------
+# the one time loop
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_step_solver_is_built_once_per_solve_at_p2(monkeypatch, n, p):
+    # at p = 2 the step matrix never changes, so neither does its solver
+    builder = "_tridiag_factor" if n == 1 else "_fast_diagonal_preconditioner"
+    real, builds = getattr(solver_module, builder), []
+    monkeypatch.setattr(solver_module, builder, lambda *args: builds.append(1) or real(*args))
+    h, steps = {1: 1 / 16, 2: 1 / 8, 3: 1 / 4}[n], 5
+    g = box_grid(n, h, h * h, steps)
+    init = reference_solutions("heat_mode", 2.0, n, g).values[0]
+    solve(g, SolveConfig(p=p, boundary=BoundarySpec(kind="zero")), SourceSpec(kind="zero"), init)
+    assert len(builds) == (1 if p == 2.0 else steps)
+
+
+@pytest.mark.parametrize("scheme", ["semi_implicit", "explicit"])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_nan_initial_data_names_the_failing_step(n, p, scheme):
+    h = {1: 1 / 16, 2: 1 / 8, 3: 1 / 4}[n]
+    g = box_grid(n, h, 0.02 * h * h, 3)  # inside the explicit bound
+    init = np.zeros(g.spatial_shape)
+    init[(2,) * n] = np.nan
+    with pytest.raises(SolverError, match=r"^step 1 \(t = "):
+        solve(g, SolveConfig(p=p, scheme=scheme, boundary=BoundarySpec(kind="zero")),
+              SourceSpec(kind="zero"), init)
+
+
+def test_cfl_error_is_not_renamed_by_the_step_report():
+    h = 1 / 8
+    g = box_grid(2, h, h * h, 2)
+    cfg = SolveConfig(p=2.0, scheme="explicit", boundary=BoundarySpec(kind="zero"))
+    with pytest.raises(CflError, match=r"^explicit dt="):
+        solve(g, cfg, SourceSpec(kind="zero"), np.zeros(g.spatial_shape))
+
+
+def _march_tridiagonal_reference(grid, config, source, initial):
+    # the 1D semi-implicit march as its own loop, with its own boundary
+    # terms; the shared time loop must reproduce it bit for bit
+    p, eps, h, dt = config.p, config.resolved_eps(grid), grid.h, grid.dt
+    source_at = _source_reader(source, grid)
+    times = grid.times()
+    out = np.empty(grid.shape)
+    out[0] = config.boundary.evaluate(grid, times[0], p)
+    out[0][1:-1] = initial[1:-1]
+    u, levels = out[0], None
+    for m in range(1, len(times)):
+        if levels is None or p != 2.0:
+            op = _StepOperator(u, 1, h, p, eps, dt)
+            c = op.couplings[0]
+            levels = _tridiag_factor(op.diag, -c[1:-1])
+        b = config.boundary.evaluate(grid, times[m], p)
+        rhs = u[1:-1] + dt * source_at(m)
+        rhs[0] += c[0] * b[0]
+        rhs[-1] += c[-1] * b[-1]
+        w = _tridiag_solve(levels, rhs)
+        u = out[m]
+        u[0], u[-1] = b[0], b[-1]
+        u[1:-1] = w
+    return out
+
+
+@pytest.mark.parametrize("p, boundary", [
+    (1.5, "zero"), (2.0, "zero"), (3.0, "zero"),
+    (1.5, "affine"), (2.0, "affine"), (3.0, "affine"),
+    (3.0, "barenblatt"),
+])
+def test_1d_solve_matches_its_own_tridiagonal_march(p, boundary):
+    t0 = 1.0 if boundary == "barenblatt" else 0.0
+    g = grid1d(h=1 / 32, dt=1 / 512, t_start=t0, t_end=t0 + 0.05)
+    bd = {"zero": BoundarySpec(kind="zero"),
+          "affine": BoundarySpec(kind="affine", value=0.1, gradient=(0.3,)),
+          "barenblatt": BoundarySpec(kind="reference", name="barenblatt")}[boundary]
+    init = bd.evaluate(g, t0, p) + 0.05 * np.random.default_rng(7).standard_normal(g.spatial_shape)
+    cfg = SolveConfig(p=p, boundary=bd)
+    for src in (SourceSpec(kind="zero"),
+                SourceSpec(kind="separable_power", a=0.0, b=0.2, q=np.inf, r=4.0)):
+        got = solve(g, cfg, src, init).values
+        assert np.array_equal(got, _march_tridiagonal_reference(g, cfg, src, init))
+
+
 def _tridiagonal_system(n, seed, scale):
     # the step matrix of the solver: face couplings c = dt D / h^2 > 0 with
     # contrast up to 1e3 and magnitude up to 1e4; the rounding of the residual
@@ -405,6 +490,15 @@ def test_1d_solve_does_not_import_scipy_linalg():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("newton_tol", float("nan")), ("newton_tol", float("inf")), ("newton_tol", 0.0),
+    ("newton_tol", -1.0), ("max_inner_iters", 0), ("eps_reg", float("nan")),
+])
+def test_solve_config_rejects_bad_inner_solve_settings(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolveConfig(p=2.0, **{field: value})
 
 
 def test_source_exponents_must_lie_in_range():
