@@ -17,6 +17,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -73,6 +74,18 @@ def _num(block: dict, key: str, path: str, default=_REQUIRED, integer=False):
     return int(val) if integer else val
 
 
+@contextlib.contextmanager
+def _block_errors(path: str):
+    """Raise a ValueError from building the block at path as a ConfigError
+    naming the block; a ConfigError, which names its own field, passes as is."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     scenario: str
@@ -109,7 +122,7 @@ def load_config(path) -> ExperimentConfig:
     params = None
     if "params" in raw:
         blk = raw["params"]
-        try:
+        with _block_errors("params"):
             params = ProblemParams(
                 p=_num(blk, "p", "params"),
                 n=_num(blk, "n", "params", integer=True),
@@ -117,13 +130,11 @@ def load_config(path) -> ExperimentConfig:
                 r=_num(blk, "r", "params"),
                 alpha_h=_num(blk, "alpha_h", "params", default=None),
             )
-        except ValueError as exc:
-            raise ConfigError("params", str(exc))
 
     grid = None
     if "grid" in raw:
         blk = raw["grid"]
-        try:
+        with _block_errors("grid"):
             grid = SpaceTimeGrid(
                 n=_num(blk, "n", "grid", default=params.n if params else 1, integer=True),
                 extent=_num(blk, "extent", "grid", default=1.0),
@@ -132,8 +143,6 @@ def load_config(path) -> ExperimentConfig:
                 t_start=_num(blk, "t_start", "grid", default=0.0),
                 t_end=_num(blk, "t_end", "grid"),
             )
-        except ValueError as exc:
-            raise ConfigError("grid", str(exc))
 
     solve_config = None
     initial_kind, initial_value = "zero", 0.0
@@ -153,7 +162,7 @@ def load_config(path) -> ExperimentConfig:
                            for i, g in enumerate(gradient)),
             name=bblk.get("name", ""),
         )
-        try:
+        with _block_errors("solve"):
             solve_config = SolveConfig(
                 p=params.p if params else _num(blk, "p", "solve"),
                 eps_reg=_num(blk, "eps_reg", "solve", default=None),
@@ -162,8 +171,6 @@ def load_config(path) -> ExperimentConfig:
                 max_inner_iters=_num(blk, "max_inner_iters", "solve", default=500, integer=True),
                 boundary=boundary,
             )
-        except ValueError as exc:
-            raise ConfigError("solve", str(exc))
         init = blk.get("initial", {"kind": "zero"})
         initial_kind = init.get("kind", "zero")
         if initial_kind not in ("zero", "constant", "eigenmode", "boundary"):
@@ -176,15 +183,16 @@ def load_config(path) -> ExperimentConfig:
         kind = blk.get("kind", "zero")
         if kind not in ("zero", "constant", "separable_power"):
             raise ConfigError("source.kind", f"unsupported kind {kind!r}")
-        source = SourceSpec(
-            kind=kind,
-            c=_num(blk, "c", "source", default=0.0),
-            a=_num(blk, "a", "source", default=0.0),
-            b=_num(blk, "b", "source", default=0.0),
-            amplitude=_num(blk, "amplitude", "source", default=1.0),
-            q=_num(blk, "q", "source", default=params.q if params else math.inf),
-            r=_num(blk, "r", "source", default=params.r if params else math.inf),
-        )
+        with _block_errors("source"):
+            source = SourceSpec(
+                kind=kind,
+                c=_num(blk, "c", "source", default=0.0),
+                a=_num(blk, "a", "source", default=0.0),
+                b=_num(blk, "b", "source", default=0.0),
+                amplitude=_num(blk, "amplitude", "source", default=1.0),
+                q=_num(blk, "q", "source", default=params.q if params else math.inf),
+                r=_num(blk, "r", "source", default=params.r if params else math.inf),
+            )
 
     return ExperimentConfig(
         scenario=scenario,

@@ -8,8 +8,11 @@ numpy-only: a point query weights the 2^(n+1) nodes of its cell, and a
 bulk resampling onto a tensor-product grid (see `locate_on_axis`)
 interpolates along one axis at a time. Region reductions read a region's
 nodes as one cropped (time, box) block (`Region.block`) and reduce it over
-axes. Grid functions are immutable after construction; every operation
-here is pure.
+axes. Grid functions are immutable after construction, and every operation
+here is pure in its results. The one piece of state is a grid function's
+private memo of the cylinder blocks `sup_oscillation` reduced at its most
+recent center (see `GridFunction`), which changes only how often a block is
+reduced.
 """
 
 from __future__ import annotations
@@ -108,9 +111,19 @@ class GridFunction:
     all entries must be finite. Point queries are multilinear in space-time
     and read only the 2^(n+1) nodes of the cell around the point; the
     gradient at those nodes follows gradient_slice.
+
+    A private memo holds the region blocks `sup_oscillation` has reduced at
+    the most recent center, each with its masked per-node max and min over
+    time, so the plain and affine profiles of one center reduce each
+    cylinder once. A call at another center replaces the memo whole, which
+    bounds it to one center's cylinder family. Since values never change
+    after construction, a stored reduction stays exact. The memo is one
+    immutable (center, entries) pair, replaced and never edited, so
+    concurrent profiles of different centers on one field stay correct and
+    can only lose the sharing.
     """
 
-    __slots__ = ("grid", "values")
+    __slots__ = ("grid", "values", "_memo")
 
     def __init__(self, grid: SpaceTimeGrid, values: np.ndarray):
         values = np.asarray(values, dtype=float)
@@ -122,6 +135,7 @@ class GridFunction:
         values.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_memo", (None, {}))
 
     def __setattr__(self, name, value):
         raise AttributeError("GridFunction is immutable")
@@ -443,6 +457,36 @@ def energy_norm(u: GridFunction, p: float, region: Region) -> float:
     return sup_l2 + float(tw @ np.sum(gmag**p * sw, axis=space)) ** (1.0 / p)
 
 
+def _time_extremes(u: GridFunction, region: Region, x0: np.ndarray,
+                   t0: float) -> tuple[RegionBlock, np.ndarray]:
+    """(block, extremes): the region's block on u's grid and the stacked
+    masked per-node max and min of the block over time, from u's one-center
+    memo. A miss checks the center, builds and reduces the block and stores
+    it, replacing the memo when the center is new."""
+    center = (tuple(x0.tolist()), t0)
+    widths = None if region.half_widths is None else tuple(map(float, region.half_widths))
+    key = (tuple(map(float, region.center)), region.t_start, region.t_end, region.radius, widths)
+    memo_center, entries = u._memo  # one load: a concurrent replacement cannot split it
+    if memo_center != center:
+        entries = {}
+    hit = entries.get(key)
+    if hit is not None:
+        return hit
+    if not region.contains_point(x0, t0, u.grid):
+        raise ValueError("center must lie inside the region")
+    blk = region.block(u.grid)
+    if not blk.mask.any():
+        raise ValueError("region contains no spatial nodes")
+    block = u.values[blk.index]
+    # at each node, fl(fl(v - ref) - plane) is monotone in v, so its largest
+    # magnitude over time sits at the node's max or min over time: reducing
+    # over time first gives the same float as the whole block would
+    extremes = np.stack([block.max(axis=0)[blk.mask], block.min(axis=0)[blk.mask]])
+    extremes.setflags(write=False)
+    object.__setattr__(u, "_memo", (center, {**entries, key: (blk, extremes)}))
+    return blk, extremes
+
+
 def sup_oscillation(
     u: GridFunction,
     region: Region,
@@ -455,16 +499,7 @@ def sup_oscillation(
     grid = u.grid
     x0 = np.asarray(center[0], dtype=float).reshape(-1)
     t0 = float(center[1])
-    if not region.contains_point(x0, t0, grid):
-        raise ValueError("center must lie inside the region")
-    blk = region.block(grid)
-    if not blk.mask.any():
-        raise ValueError("region contains no spatial nodes")
-    block = u.values[blk.index]
-    # at each node, fl(fl(v - ref) - plane) is monotone in v, so its largest
-    # magnitude over time sits at the node's max or min over time: reducing
-    # over time first gives the same float as the whole block would
-    extremes = np.stack([block.max(axis=0)[blk.mask], block.min(axis=0)[blk.mask]])
+    blk, extremes = _time_extremes(u, region, x0, t0)
     if affine_part is None:
         return float(np.max(np.abs(extremes - u.value_at(x0, t0))))
     ref, grad_vec = affine_part

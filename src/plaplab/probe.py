@@ -12,8 +12,12 @@ largest node distance actually inside the ball) rather than the nominal
 lambda^k; at desk resolutions this removes the grid-quantization bias of
 the smallest levels.
 
-Profiles over distinct centers are independent and safe to run
-concurrently; every computation here is pure given the solution field.
+Every result here is a pure function of the solution field. A field's
+profiles share its one-center memo of reduced cylinder blocks (see
+`grids.GridFunction`): the plain and affine profiles of a center, and the
+profile inside `check_pointwise_c1alpha`, reduce each cylinder once.
+Profiles of different centers on one field may run concurrently; they stay
+correct and can only lose the sharing.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ import numpy as np
 
 from .cylinders import Cylinder, corrected_cylinder, rescale_outside
 from .exponents import ProblemParams, sharp_exponents, theta_from_combined
-from .grids import GridFunction, Region, RegionBlock, SpaceTimeGrid, masked_abs_max, sup_oscillation
+from .grids import (GridFunction, Region, RegionBlock, SpaceTimeGrid, _time_extremes, masked_abs_max,
+                    sup_oscillation)
 from .solver import SolveConfig, SourceSpec, solve
 
 
@@ -177,11 +182,12 @@ def oscillation_profile(
     for cyl in cylinders:
         region = cyl.as_region()
         s_k = sup_oscillation(u, region, ((tuple(x0)), t0), affine_part=affine_part)
+        blk, _ = _time_extremes(u, region, x0, t0)  # the memo entry sup_oscillation left
         entries.append(
             ProfileEntry(
                 k=cyl.k,
                 rho=cyl.rho,
-                rho_eff=_realized_radius(region.block(grid)),
+                rho_eff=_realized_radius(blk),
                 theta_eff=cyl.theta_eff,
                 depth=cyl.depth,
                 sup_osc=s_k,
@@ -302,6 +308,12 @@ class PointwiseReport:
     notes: str
     profile: OscillationProfile
     rescaled_fit: ExponentFit | None = None
+
+    @property
+    def vacuous(self) -> bool:
+        """passes rests on no fit: every level sat under the noise floor, or
+        the rescaled levels were unresolvable or unfittable."""
+        return self.slope is None
 
 
 def check_pointwise_c1alpha(

@@ -230,6 +230,21 @@ def test_config_error_carries_field_path(tmp_path):
     assert "params.r" in str(err.value)
 
 
+@pytest.mark.parametrize("block, key, value, field_path", [
+    ("grid", "h", True, "grid.h"),
+    ("params", "p", "two", "params.p"),
+    ("source", "q", 0.5, "source"),  # SourceSpec rejects q < 1
+])
+def test_config_error_keeps_the_innermost_field_path(tmp_path, block, key, value, field_path):
+    cfg = json.loads(json.dumps(SOLVE_CFG))
+    cfg[block][key] = value
+    with pytest.raises(ConfigError) as err:
+        load_config(write_config(tmp_path, cfg))
+    assert err.value.field_path == field_path
+    path, _, message = str(err.value).partition(": ")
+    assert path == field_path and ": " not in message  # named once, not once per block
+
+
 def test_exponent_fast_path_needs_no_grid(tmp_path):
     # exponent and region subcommands run without grid or solve blocks,
     # and stay on the sub-second fast path

@@ -458,10 +458,13 @@ def test_sup_oscillation_equals_the_per_slice_loop_bit_for_bit(n, seed, ball, si
             sup_oscillation(u, region, center)
         return
     ref = u.value_at(x0, 0.5)
-    assert sup_oscillation(u, region, center) == _sup_oscillation_by_slices(u, region, x0, ref)
+    plain = _sup_oscillation_by_slices(u, region, x0, ref)
+    assert sup_oscillation(u, region, center) == plain
     grad_vec = rng.standard_normal(n)
+    # the affine and second plain calls read the block reduced by the first
     assert sup_oscillation(u, region, center, affine_part=(0.3, grad_vec)) == (
         _sup_oscillation_by_slices(u, region, x0, 0.3, grad_vec))
+    assert sup_oscillation(u, region, center) == plain
 
 
 def test_sup_oscillation_rejects_outside_center():
@@ -470,6 +473,50 @@ def test_sup_oscillation_rejects_outside_center():
     region = Region(center=(0.0,), radius=0.25, t_start=0.0, t_end=0.25)
     with pytest.raises(ValueError):
         sup_oscillation(u, region, ((0.9,), 0.25))
+
+
+def _family(x0, t0):
+    """Nested balls and boxes around (x0, t0), like a profile's cylinders."""
+    return [Region(center=x0, t_start=t0 - 0.4 * r * r, t_end=t0, **shape)
+            for r in (0.5, 0.3, 0.15) for shape in ({"radius": r}, {"half_widths": (r, 0.7 * r)})]
+
+
+def test_sup_oscillation_interleaved_centers_match_fresh_fields():
+    g = small_grid(n=2, h=1 / 16, dt=1 / 64, t_end=0.5)
+    vals = np.random.default_rng(3).standard_normal(g.shape)
+    centers = [((0.125, -0.25), 0.5), ((-0.3, 0.1), 0.4375)]
+    shared = GridFunction(g, vals)
+    for x0, t0 in centers + centers:  # A, B, A, B: every switch replaces the memo
+        grad = shared.gradient_at(x0, t0)
+        for region in _family(x0, t0):
+            for affine in (None, (0.2, grad)):
+                fresh = GridFunction(g, vals)  # its first call, so nothing memoized
+                assert (sup_oscillation(shared, region, (x0, t0), affine_part=affine)
+                        == sup_oscillation(fresh, region, (x0, t0), affine_part=affine))
+
+
+def test_sup_oscillation_memo_holds_one_center():
+    g = small_grid(n=2, h=1 / 16, dt=1 / 64, t_end=0.5)
+    u = GridFunction(g, np.random.default_rng(4).standard_normal(g.shape))
+    first, second = ((0.125, -0.25), 0.5), ((-0.3, 0.1), 0.4375)
+    for region in _family(*first):
+        sup_oscillation(u, region, first)
+    assert len(u._memo[1]) == 6
+    sup_oscillation(u, _family(*second)[0], second)
+    memo_center, entries = u._memo
+    assert memo_center == second
+    assert len(entries) == 1  # no block of the first center remains
+
+
+def test_sup_oscillation_rejects_outside_center_of_a_memoized_region():
+    g = small_grid()
+    u = GridFunction(g, np.zeros(g.shape))
+    region = Region(center=(0.0,), radius=0.25, t_start=0.0, t_end=0.25)
+    assert sup_oscillation(u, region, ((0.0,), 0.25)) == 0.0
+    for outside in (((0.9,), 0.25), ((0.0,), 0.5)):
+        with pytest.raises(ValueError, match="center must lie inside the region"):
+            sup_oscillation(u, region, outside)
+    assert sup_oscillation(u, region, ((0.125,), 0.125)) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from plaplab.exponents import INF, ProblemParams, sharp_exponents
-from plaplab.grids import GridFunction, SpaceTimeGrid
+from plaplab.grids import GridFunction, Region, SpaceTimeGrid
 from plaplab.probe import (
     UnresolvableCylinderError,
     check_dyadic_bound,
@@ -255,6 +256,75 @@ def test_pointwise_critical_quadratic_passes():
     assert rep.critical
     assert rep.passes
     assert rep.slope == pytest.approx(2.0, abs=0.1)  # smoother than required
+
+
+def test_pointwise_vacuous_flags_a_pass_without_a_fit():
+    g = synthetic_grid()
+    affine = GridFunction.from_callable(g, lambda x, t: 0.05 * x + 0.2)
+    rep = check_pointwise_c1alpha(affine, ((0.0,), 0.0), HEAT, LAM, K)
+    assert rep.critical and rep.passes and rep.vacuous  # every level under the noise floor
+    heat = reference_solutions("heat_mode", 2.0, 1, g)  # sin(pi x): an extremum at x = 1/2
+    rep = check_pointwise_c1alpha(heat, ((0.5,), 0.0), HEAT, LAM, K)
+    assert rep.critical and rep.passes and not rep.vacuous
+    assert rep.slope is not None
+
+
+def test_profiles_of_a_center_build_and_reduce_each_cylinder_once(monkeypatch):
+    built = []
+    block = Region.block
+
+    def counting_block(self, grid, interior=False):
+        if not interior:  # the noise floor reads its own interior block
+            built.append(self)
+        return block(self, grid, interior)
+
+    monkeypatch.setattr(Region, "block", counting_block)
+    g = synthetic_grid()
+    u = GridFunction.from_callable(g, lambda x, t: 0.4 * x * x + 0.1 * x * t)
+    center = ((0.0,), 0.0)
+    affine = oscillation_profile(u, center, LAM, K, HEAT, mode="affine")
+    plain = oscillation_profile(u, center, LAM, K, HEAT, mode="plain")
+    rep = check_pointwise_c1alpha(u, center, HEAT, LAM, K)
+    assert rep.critical
+    assert len(built) == K  # one block per level, reduced once for all three profiles
+    assert rep.profile.entries == affine.entries
+    fresh = GridFunction(g, u.values)
+    assert plain == oscillation_profile(fresh, center, LAM, K, HEAT, mode="plain")
+
+
+def test_concurrent_profiles_of_different_centers_on_one_field():
+    g = synthetic_grid()
+    vals = GridFunction.from_callable(g, lambda x, t: 0.4 * x * x + 0.1 * np.sin(7 * x) * (1 + t)).values
+    centers = [((x,), 0.0) for x in (-0.3, -0.1, 0.1, 0.3)]
+
+    def profiles(u, center):
+        return [oscillation_profile(u, center, LAM, K, HEAT, mode=mode) for mode in ("affine", "plain")]
+
+    expected = {c: profiles(GridFunction(g, vals), c) for c in centers}
+    shared = GridFunction(g, vals)
+    got, errors = {c: [] for c in centers}, []
+
+    def worker(center):
+        try:
+            for _ in range(4):  # each round replaces the memo the other threads read
+                got[center].append(profiles(shared, center))
+        except Exception as exc:  # reported below; a thread's exception is otherwise lost
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(c,)) for c in centers]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for c in centers:
+        assert got[c] == [expected[c]] * 4
 
 
 def test_pointwise_noncritical_routes_through_rescale():
