@@ -11,7 +11,7 @@ Subcommands mirror the library modules one-to-one:
 Every run writes summary.json with the config hash embedded; outputs are
 byte-identical for identical config + seed. Exit codes: 0 success,
 1 validation battery failed, 2 config error, 3 solver failure, 4 probe
-failure.
+failure, 5 numerical guard tripped.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_PROBE = 4
+EXIT_NUMERIC = 5  # an ArithmeticError: a numerical guard such as sigma*theta >= 2 tripped
 _REQUIRED = object()  # the default of a _num field without one
 
 
@@ -461,7 +462,7 @@ def run_validate(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
     grid = SpaceTimeGrid(n=1, extent=1.0, h=1 / 32, dt=1 / 1024, t_start=0.0, t_end=0.0625)
     region = grids.full_domain_region(grid)
-    const = GridFunction(grid, np.full(grid.shape, 0.7))
+    const = GridFunction._adopt(grid, np.full(grid.shape, 0.7))
     t_span = grid.t_end - grid.t_start
     checks["constant_norm_exact"] = bool(
         abs(
@@ -528,6 +529,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except ArithmeticError as exc:
+        print(f"numerical guard tripped: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     if args.subcommand == "validate" and not payload.get("all_passed", False):
         print("validation battery failed", file=sys.stderr)
         return EXIT_VALIDATION

@@ -30,6 +30,7 @@ from .grids import (
     GridFunction,
     Region,
     SpaceTimeGrid,
+    _center_point,
     anisotropic_norm,
     full_domain_region,
     locate_on_axis,
@@ -247,7 +248,9 @@ def _resample(
         vals = np.take(vals, lower, axis=a)
         vals *= 1.0 - frac
         vals += upper
-    return GridFunction(new_grid, amplitude * (vals - offset))
+    vals -= offset  # the float operations of amplitude * (vals - offset), in place
+    vals *= amplitude
+    return GridFunction._adopt(new_grid, vals)
 
 
 def rescale_normalize(
@@ -322,7 +325,7 @@ def rescale_outside(
     t0 = float(center[1])
     exps = sharp_exponents(params)
     alpha, gamma = exps.alpha, exps.gamma
-    grad = u.gradient_at(x0, t0)
+    u0, grad = _center_point(u, x0, t0)
     gmag = float(np.sqrt(np.sum(grad * grad)))
     if gmag <= 0.0:
         raise ValueError("center has zero gradient; the gradient-scale map is undefined")
@@ -338,7 +341,6 @@ def rescale_outside(
     depth = min(1.0, room_t / tau**gamma)
     if ext <= 0.0 or depth <= 0.0:
         raise ValueError("tau-cylinder does not fit inside the solution domain")
-    u0 = u.value_at(x0, t0)
     v = _resample(u, x0, t0, tau, tau**gamma, tau ** (-(1.0 + alpha)), u0, ext, depth)
     g = None
     if f is not None:
@@ -352,9 +354,10 @@ def rescale_outside(
            + gamma * (0.0 if math.isinf(params.r) else 1.0 / params.r))
     )
     s0 = float(v.grid.times()[-1])  # s = 0 up to rounding, which may put 0.0 off the grid
-    grad_v = v.gradient_at(np.zeros(grid.n), s0)
+    # from v's memo, where a profile of v at the origin finds them
+    v_at_origin, grad_v = _center_point(v, np.zeros(grid.n), s0)
     certificates = {
-        "v_at_origin": v.value_at(np.zeros(grid.n), s0),
+        "v_at_origin": v_at_origin,
         "grad_v_at_origin": float(np.sqrt(np.sum(grad_v * grad_v))),
         "source_exponent": source_exponent,
     }

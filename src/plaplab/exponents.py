@@ -21,6 +21,7 @@ All functions are pure and safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -179,12 +180,17 @@ def _alpha_hat(p: float, n: int, q: float, r: float) -> float:
     return numer / denom
 
 
+@functools.lru_cache(maxsize=256)
 def sharp_exponents(params: ProblemParams) -> ExponentSet:
     """Sharp growth exponents for an admissible parameter set.
 
     Rejects inadmissible parameters. The denominator of alpha_hat is
     computed through the factored form (p-1)(1-1/r) + 1/r and cross-checked
     against the expanded form to 1e-12.
+
+    Cached per parameter set: equal params give the same frozen ExponentSet,
+    so a probe's per-level calls cost a lookup. A rejection is not cached,
+    so inadmissible params raise on every call.
     """
     report = check_compatibility(params)
     if not report.admissible:

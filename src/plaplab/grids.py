@@ -10,15 +10,17 @@ interpolates along one axis at a time. Region reductions read a region's
 nodes as one cropped (time, box) block (`Region.block`) and reduce it over
 axes. Grid functions are immutable after construction, and every operation
 here is pure in its results. The one piece of state is a grid function's
-private memo of the cylinder blocks `sup_oscillation` reduced at its most
-recent center (see `GridFunction`), which changes only how often a block is
-reduced.
+private memo of what the probe computes at its most recent center: the
+cylinder blocks `sup_oscillation` reduced, the point value and gradient,
+and the noise floor (see `GridFunction`). It changes only how often they
+are computed.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import struct
 from dataclasses import dataclass
 
@@ -46,15 +48,17 @@ class SpaceTimeGrid:
     def __post_init__(self):
         if self.n not in (1, 2, 3):
             raise ValueError(f"spatial dimension must be 1, 2 or 3, got {self.n}")
+        if not all(map(math.isfinite, (self.extent, self.h, self.dt, self.t_start, self.t_end))):
+            raise ValueError("extent, h, dt, t_start and t_end must be finite")
         if self.h <= 0 or self.dt <= 0 or self.extent <= 0:
             raise ValueError("extent, h and dt must be positive")
         nx = 2.0 * self.extent / self.h
-        if abs(nx - round(nx)) > _ALIGN_TOL * max(1.0, nx):
+        if not math.isfinite(nx) or abs(nx - round(nx)) > _ALIGN_TOL * max(1.0, nx):
             raise ValueError(f"2*extent/h = {nx} is not an integer")
         if round(nx) + 1 < 3:
             raise ValueError("need at least 3 nodes per spatial axis")
         span = (self.t_end - self.t_start) / self.dt
-        if abs(span - round(span)) > _ALIGN_TOL * max(1.0, span):
+        if not math.isfinite(span) or abs(span - round(span)) > _ALIGN_TOL * max(1.0, span):
             raise ValueError(f"(t_end - t_start)/dt = {span} is not an integer")
         if round(span) + 1 < 3:
             raise ValueError("need at least 3 time slices")
@@ -108,30 +112,45 @@ class GridFunction:
     """Scalar field sampled on every node of a SpaceTimeGrid.
 
     values has shape (num_times, nodes, ...) and is frozen on construction;
-    all entries must be finite. Point queries are multilinear in space-time
-    and read only the 2^(n+1) nodes of the cell around the point; the
-    gradient at those nodes follows gradient_slice.
+    all entries must be finite. The constructor copies values, so the
+    caller's array stays its own. Point queries are multilinear in
+    space-time and read only the 2^(n+1) nodes of the cell around the
+    point; the gradient at those nodes follows gradient_slice. Neither is
+    cached.
 
-    A private memo holds the region blocks `sup_oscillation` has reduced at
-    the most recent center, each with its masked per-node max and min over
-    time, so the plain and affine profiles of one center reduce each
-    cylinder once. A call at another center replaces the memo whole, which
-    bounds it to one center's cylinder family. Since values never change
-    after construction, a stored reduction stays exact. The memo is one
-    immutable (center, entries) pair, replaced and never edited, so
-    concurrent profiles of different centers on one field stay correct and
-    can only lose the sharing.
+    A private memo holds what the probe computes at the most recent center
+    (see `_at_center`): the region blocks `sup_oscillation` has reduced,
+    each with its masked per-node max and min over time, the center's point
+    value and gradient, and the noise floor of the smallest cylinder. So
+    the plain and affine profiles of one center, its pointwise check and
+    its gradient-scale rescaling compute each of these once. A call at
+    another center replaces the memo whole, which bounds it to one center.
+    Since values never change after construction, a stored result stays
+    exact. The memo is one immutable (center, entries) pair, replaced and
+    never edited, so concurrent profiles of different centers on one field
+    stay correct and can only lose the sharing.
     """
 
     __slots__ = ("grid", "values", "_memo")
 
     def __init__(self, grid: SpaceTimeGrid, values: np.ndarray):
-        values = np.asarray(values, dtype=float)
+        self._freeze(grid, np.array(values, dtype=float, order="C"))
+
+    @classmethod
+    def _adopt(cls, grid: SpaceTimeGrid, values: np.ndarray) -> "GridFunction":
+        """A grid function over values itself, frozen without the constructor's
+        copy: for the owner of a fresh array that nothing else writes to."""
+        u = cls.__new__(cls)
+        u._freeze(grid, np.ascontiguousarray(values, dtype=float))
+        return u
+
+    def _freeze(self, grid: SpaceTimeGrid, values: np.ndarray) -> None:
         if values.shape != grid.shape:
             raise ValueError(f"values shape {values.shape} != grid shape {grid.shape}")
-        if not np.all(np.isfinite(values)):
+        # max and min reach any infinity and carry any NaN, with no
+        # field-sized boolean temporary
+        if not (np.isfinite(values.max()) and np.isfinite(values.min())):
             raise ValueError("grid function values must be finite")
-        values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
@@ -147,7 +166,7 @@ class GridFunction:
         vals = np.empty(grid.shape)
         for j, t in enumerate(grid.times()):
             vals[j] = fn(*mesh, t)
-        return cls(grid, vals)
+        return cls._adopt(grid, vals)
 
     def _cell(self, x, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Node indices (n+1, 2^(n+1)) and multilinear weights of the
@@ -439,7 +458,7 @@ def steklov_average(u: GridFunction, window: float) -> GridFunction:
     tw[0] = tw[-1] = grid.dt / 2
     for j in range(grid.num_times - k):
         out[j] = np.tensordot(tw, u.values[j : j + k + 1], axes=(0, 0)) / window
-    return GridFunction(grid, out)
+    return GridFunction._adopt(grid, out)
 
 
 def energy_norm(u: GridFunction, p: float, region: Region) -> float:
@@ -457,34 +476,60 @@ def energy_norm(u: GridFunction, p: float, region: Region) -> float:
     return sup_l2 + float(tw @ np.sum(gmag**p * sw, axis=space)) ** (1.0 / p)
 
 
-def _time_extremes(u: GridFunction, region: Region, x0: np.ndarray,
-                   t0: float) -> tuple[RegionBlock, np.ndarray]:
-    """(block, extremes): the region's block on u's grid and the stacked
-    masked per-node max and min of the block over time, from u's one-center
-    memo. A miss checks the center, builds and reduces the block and stores
-    it, replacing the memo when the center is new."""
+def _at_center(u: GridFunction, x0: np.ndarray, t0: float, key, build):
+    """The entry key of u's one-center memo at the center (x0, t0).
+
+    A miss calls build() and stores its result, which must be immutable and
+    not None, replacing the memo when the center is new. An exception from
+    build is not stored, so a failing call fails again.
+    """
     center = (tuple(x0.tolist()), t0)
-    widths = None if region.half_widths is None else tuple(map(float, region.half_widths))
-    key = (tuple(map(float, region.center)), region.t_start, region.t_end, region.radius, widths)
     memo_center, entries = u._memo  # one load: a concurrent replacement cannot split it
     if memo_center != center:
         entries = {}
     hit = entries.get(key)
     if hit is not None:
         return hit
-    if not region.contains_point(x0, t0, u.grid):
-        raise ValueError("center must lie inside the region")
-    blk = region.block(u.grid)
-    if not blk.mask.any():
-        raise ValueError("region contains no spatial nodes")
-    block = u.values[blk.index]
-    # at each node, fl(fl(v - ref) - plane) is monotone in v, so its largest
-    # magnitude over time sits at the node's max or min over time: reducing
-    # over time first gives the same float as the whole block would
-    extremes = np.stack([block.max(axis=0)[blk.mask], block.min(axis=0)[blk.mask]])
-    extremes.setflags(write=False)
-    object.__setattr__(u, "_memo", (center, {**entries, key: (blk, extremes)}))
-    return blk, extremes
+    result = build()
+    object.__setattr__(u, "_memo", (center, {**entries, key: result}))
+    return result
+
+
+def _region_key(region: Region) -> tuple:
+    """The region's defining floats, hashable whatever sequences it was given."""
+    widths = None if region.half_widths is None else tuple(map(float, region.half_widths))
+    return (tuple(map(float, region.center)), region.t_start, region.t_end, region.radius, widths)
+
+
+def _center_point(u: GridFunction, x0: np.ndarray, t0: float) -> tuple[float, np.ndarray]:
+    """(value_at, gradient_at) of u at the center, from its one-center memo;
+    the gradient is read-only."""
+    def build():
+        grad = u.gradient_at(x0, t0)
+        grad.setflags(write=False)
+        return u.value_at(x0, t0), grad
+    return _at_center(u, x0, t0, "point", build)
+
+
+def _time_extremes(u: GridFunction, region: Region, x0: np.ndarray,
+                   t0: float) -> tuple[RegionBlock, np.ndarray]:
+    """(block, extremes): the region's block on u's grid and the stacked
+    masked per-node max and min of the block over time, from u's one-center
+    memo. A miss checks the center and builds and reduces the block."""
+    def build():
+        if not region.contains_point(x0, t0, u.grid):
+            raise ValueError("center must lie inside the region")
+        blk = region.block(u.grid)
+        if not blk.mask.any():
+            raise ValueError("region contains no spatial nodes")
+        block = u.values[blk.index]
+        # at each node, fl(fl(v - ref) - plane) is monotone in v, so its largest
+        # magnitude over time sits at the node's max or min over time: reducing
+        # over time first gives the same float as the whole block would
+        extremes = np.stack([block.max(axis=0)[blk.mask], block.min(axis=0)[blk.mask]])
+        extremes.setflags(write=False)
+        return blk, extremes
+    return _at_center(u, x0, t0, _region_key(region), build)
 
 
 def sup_oscillation(
@@ -501,7 +546,7 @@ def sup_oscillation(
     t0 = float(center[1])
     blk, extremes = _time_extremes(u, region, x0, t0)
     if affine_part is None:
-        return float(np.max(np.abs(extremes - u.value_at(x0, t0))))
+        return float(np.max(np.abs(extremes - _center_point(u, x0, t0)[0])))
     ref, grad_vec = affine_part
     axis = grid.axis_nodes()
     plane = sum(g * (axis[b] - c).reshape(d.shape)
@@ -576,7 +621,7 @@ def write_binary(u: GridFunction, path) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(u.values, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(u.values, dtype="<f8").data)  # no copy on little-endian hosts
 
 
 def read_binary(path) -> GridFunction:
@@ -592,12 +637,16 @@ def read_binary(path) -> GridFunction:
         grid = SpaceTimeGrid(n=n, extent=extent, h=h, dt=dt, t_start=t_start, t_end=t_end)
         if nt != grid.num_times:
             raise ValueError(f"header counts {nt} time slices, its grid has {grid.num_times}")
-        payload = fh.read()
-    expected = 8 * int(np.prod(grid.shape))
-    if len(payload) != expected:
+        expected = 8 * math.prod(grid.shape)
+        # a sized read fills one bytes object; a bare read() would join the
+        # buffered rest to it, a second payload-sized copy
+        payload = fh.read(expected)
+        held = len(payload) + len(fh.read())
+    if held != expected:
         raise ValueError(f"payload needs {expected} bytes for grid shape {grid.shape}, "
-                         f"the file holds {len(payload)} after the header")
-    return GridFunction(grid, np.frombuffer(payload, dtype="<f8").reshape(grid.shape))
+                         f"the file holds {held} after the header")
+    # the array reads the immutable payload in place
+    return GridFunction._adopt(grid, np.frombuffer(payload, dtype="<f8").reshape(grid.shape))
 
 
 def write_csv(u: GridFunction, path, max_nodes: int = 200_000) -> None:

@@ -13,11 +13,12 @@ lambda^k; at desk resolutions this removes the grid-quantization bias of
 the smallest levels.
 
 Every result here is a pure function of the solution field. A field's
-profiles share its one-center memo of reduced cylinder blocks (see
-`grids.GridFunction`): the plain and affine profiles of a center, and the
-profile inside `check_pointwise_c1alpha`, reduce each cylinder once.
-Profiles of different centers on one field may run concurrently; they stay
-correct and can only lose the sharing.
+profiles share its one-center memo (see `grids.GridFunction`): the plain
+and affine profiles of a center, the profile inside
+`check_pointwise_c1alpha` and its gradient-scale rescaling reduce each
+cylinder once, and interpolate the center's value and gradient and compute
+the noise floor once. Profiles of different centers on one field may run
+concurrently; they stay correct and can only lose the sharing.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ import numpy as np
 
 from .cylinders import Cylinder, corrected_cylinder, rescale_outside
 from .exponents import ProblemParams, sharp_exponents, theta_from_combined
-from .grids import (GridFunction, Region, RegionBlock, SpaceTimeGrid, _time_extremes, masked_abs_max,
-                    sup_oscillation)
+from .grids import (GridFunction, Region, RegionBlock, SpaceTimeGrid, _at_center, _center_point,
+                    _region_key, _time_extremes, masked_abs_max, sup_oscillation)
 from .solver import SolveConfig, SourceSpec, solve
 
 
@@ -142,7 +143,7 @@ def oscillation_profile(
     grid = u.grid
     x0 = np.atleast_1d(np.asarray(center[0], dtype=float))
     t0 = float(center[1])
-    grad = u.gradient_at(x0, t0)
+    value, grad = _center_point(u, x0, t0)
     gmag = float(np.sqrt(np.sum(grad * grad)))
     alpha = sharp_exponents(params).alpha
 
@@ -175,9 +176,7 @@ def oscillation_profile(
             "center too close to the parabolic boundary for the largest cylinder"
         )
 
-    affine_part = None
-    if mode == "affine":
-        affine_part = (u.value_at(x0, t0), grad)
+    affine_part = (value, grad) if mode == "affine" else None
     entries = []
     for cyl in cylinders:
         region = cyl.as_region()
@@ -200,7 +199,8 @@ def oscillation_profile(
         mode=mode,
         grad_mag=gmag,
         entries=tuple(entries),
-        noise_floor=_interp_noise_floor(u, smallest),
+        noise_floor=_at_center(u, x0, t0, ("noise floor", _region_key(smallest.as_region())),
+                               lambda: _interp_noise_floor(u, smallest)),
         grid_h=grid.h,
         grid_dt=grid.dt,
     )
@@ -343,7 +343,7 @@ def check_pointwise_c1alpha(
     grid = u.grid
     x0 = np.atleast_1d(np.asarray(center[0], dtype=float))
     t0 = float(center[1])
-    grad = u.gradient_at(x0, t0)
+    _, grad = _center_point(u, x0, t0)
     gmag = float(np.sqrt(np.sum(grad * grad)))
     critical = gmag <= lam**alpha
     target = 1.0 + alpha - slope_tol

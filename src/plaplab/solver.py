@@ -185,9 +185,9 @@ def _source_field(spec: SourceSpec, grid: SpaceTimeGrid, require_certificate: bo
             raise ValueError("tabulated source needs a table on the same grid")
         f = spec.table
     elif spec.kind == "zero":
-        f = GridFunction(grid, np.zeros(grid.shape))
+        f = GridFunction._adopt(grid, np.zeros(grid.shape))
     elif spec.kind == "constant":
-        f = GridFunction(grid, np.full(grid.shape, float(spec.c)))
+        f = GridFunction._adopt(grid, np.full(grid.shape, float(spec.c)))
     elif spec.kind == "separable_power":
         if require_certificate and not spec.certificate_ok(grid.n):
             raise ValueError(
@@ -237,7 +237,7 @@ def _separable_power_field(spec: SourceSpec, grid: SpaceTimeGrid) -> GridFunctio
                 tvals[j] = initial_slice_mean_power(grid.dt, spec.b * rr_t) ** (1.0 / rr_t)
     else:
         tvals = np.ones_like(ts)
-    return GridFunction(grid, spec.amplitude * tvals[(...,) + (None,) * grid.n] * space[None])
+    return GridFunction._adopt(grid, spec.amplitude * tvals[(...,) + (None,) * grid.n] * space[None])
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +552,7 @@ def solve(
         except SolverError as exc:
             raise SolverError(f"step {m} (t = {times[m]:.6g}): {exc}") from None
         u = u_new
-    return GridFunction(grid, out)
+    return GridFunction._adopt(grid, out)
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +615,7 @@ def reference_solutions(name: str, p: float, n: int, grid: SpaceTimeGrid) -> Gri
         raise ValueError("barenblatt requires p > 2")
     if name == "barenblatt" and grid.t_start <= 0.0:
         raise ValueError("barenblatt needs a time range bounded away from 0")
-    return GridFunction(grid, reference_slice(name, grid, grid.times()[(...,) + (None,) * n], p))
+    return GridFunction._adopt(grid, reference_slice(name, grid, grid.times()[(...,) + (None,) * n], p))
 
 
 _RESIDUAL_CHUNK_NODES = 1 << 16
@@ -644,7 +644,7 @@ def semi_discrete_residual(u: GridFunction, p: float, source: SourceSpec | None 
         if source_at is not None:
             res -= source_at(slice(j, k))
         out[j:k][space] = res
-    return GridFunction(grid, out)
+    return GridFunction._adopt(grid, out)
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +739,7 @@ def bump_battery(grid: SpaceTimeGrid, region: Region, powers=(2, 3),
             space = np.ones(grid.spatial_shape)
             for m, c, w in zip(mesh, region.center, base):
                 space = space * np.maximum(1.0 - ((m - c) / (s * w)) ** 2, 0.0) ** k
-            battery.append(GridFunction(grid, ramp[(...,) + (None,) * grid.n] * space[None]))
+            battery.append(GridFunction._adopt(grid, ramp[(...,) + (None,) * grid.n] * space[None]))
     return battery
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -5,9 +6,10 @@ import re
 import numpy as np
 import pytest
 
-from plaplab import cli
+from plaplab import cli, cylinders
 from plaplab.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_SOLVER,
     EXIT_VALIDATION,
@@ -279,6 +281,21 @@ def test_non_finite_explicit_step_exits_as_a_solver_failure(tmp_path, capsys, mo
     path = write_config(tmp_path, cfg)
     assert main(["solve", str(path), "--out", str(tmp_path / "nan")]) == EXIT_SOLVER == 3
     assert "solver failure: step 1 (t = " in capsys.readouterr().err
+
+
+def test_tripped_numerical_guard_exits_with_its_own_code(tmp_path, capsys, monkeypatch):
+    # a sigma below 1 takes sigma*theta under 2, so corrected_cylinder's
+    # guard raises ArithmeticError on the probe's first cylinder
+    sharp = cylinders.sharp_exponents
+    monkeypatch.setattr(cylinders, "sharp_exponents",
+                        lambda params: dataclasses.replace(sharp(params), sigma=0.5))
+    cfg = json.loads(json.dumps(SOLVE_CFG))
+    cfg["scenario"] = "guard-probe"
+    cfg["grid"] = {"h": 1 / 128, "dt": 5e-05, "t_end": 0.25}
+    cfg["probe"] = {"lambda": 0.45, "K": 4, "mode": "plain", "centers": [[0.0, 0.25]]}
+    path = write_config(tmp_path, cfg)
+    assert main(["probe", str(path), "--out", str(tmp_path / "guard")]) == EXIT_NUMERIC == 5
+    assert "numerical guard tripped: sigma*theta = " in capsys.readouterr().err
 
 
 BAD_FIELDS = [

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -112,6 +113,18 @@ def test_sharp_exponents_rejects_inadmissible():
     bad = ProblemParams(p=2.0, n=2, q=2.5, r=2.5)
     with pytest.raises(ValueError):
         sharp_exponents(bad)
+
+
+def test_sharp_exponents_is_one_frozen_object_per_parameter_set():
+    first = sharp_exponents(ProblemParams(p=3.0, n=2, q=8.0, r=8.0, alpha_h=0.7))
+    assert sharp_exponents(ProblemParams(p=3.0, n=2, q=8.0, r=8.0, alpha_h=0.7)) is first
+    assert sharp_exponents(ProblemParams(p=3.0, n=2, q=8.0, r=8.0, alpha_h=0.6)) is not first
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.alpha = 0.0
+    bad = ProblemParams(p=2.0, n=2, q=2.5, r=2.5)
+    for _ in range(2):  # a rejection is not remembered as a result
+        with pytest.raises(ValueError, match="not admissible"):
+            sharp_exponents(bad)
 
 
 @settings(max_examples=250, deadline=None)

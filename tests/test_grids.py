@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -501,11 +503,11 @@ def test_sup_oscillation_memo_holds_one_center():
     first, second = ((0.125, -0.25), 0.5), ((-0.3, 0.1), 0.4375)
     for region in _family(*first):
         sup_oscillation(u, region, first)
-    assert len(u._memo[1]) == 6
+    assert len(u._memo[1]) == 7  # six blocks and the center's point value and gradient
     sup_oscillation(u, _family(*second)[0], second)
     memo_center, entries = u._memo
     assert memo_center == second
-    assert len(entries) == 1  # no block of the first center remains
+    assert len(entries) == 2  # one block and the point: nothing of the first center remains
 
 
 def test_sup_oscillation_rejects_outside_center_of_a_memoized_region():
@@ -587,6 +589,134 @@ def test_binary_header_time_count_must_match_its_grid(tmp_path):
     path.write_bytes(bytes(bad))
     with pytest.raises(ValueError, match=f"header counts {g.num_times + 1} time slices"):
         read_binary(path)
+
+
+_GRIDS = st.builds(
+    lambda n, cells, steps, t_start, spacing: SpaceTimeGrid(
+        n=n, extent=cells * spacing / 2, h=spacing, dt=spacing / 4, t_start=t_start,
+        t_end=t_start + steps * spacing / 4),
+    n=st.integers(1, 3),
+    cells=st.integers(2, 5),
+    steps=st.integers(2, 5),
+    t_start=st.sampled_from([0.0, -0.5, 1.25]),
+    spacing=st.sampled_from([1 / 8, 0.25, 0.5, 1.0]),
+)
+
+
+def _random_field(grid, seed):
+    # every finite double is fair game, signed zeros and subnormals included
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64, size=grid.shape, dtype=np.uint64)
+    vals = bits.view(np.float64).copy()
+    vals[~np.isfinite(vals)] = -0.0
+    return GridFunction(grid, vals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=_GRIDS, seed=st.integers(0, 2**32 - 1))
+def test_binary_round_trip_is_exact(tmp_path_factory, grid, seed):
+    u = _random_field(grid, seed)
+    path = tmp_path_factory.mktemp("bin") / "u.bin"
+    write_binary(u, path)
+    data = path.read_bytes()
+    back = read_binary(path)
+    assert back.grid == grid
+    assert back.values.tobytes() == u.values.tobytes()  # bit for bit, -0.0 included
+    write_binary(back, path)
+    assert path.read_bytes() == data
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=_GRIDS, seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_binary_truncated_or_extended_anywhere_is_a_value_error(tmp_path_factory, grid, seed, data):
+    path = tmp_path_factory.mktemp("bin") / "u.bin"
+    write_binary(_random_field(grid, seed), path)
+    whole = path.read_bytes()
+    cut = data.draw(st.integers(0, len(whole) - 1), label="cut")
+    extra = data.draw(st.binary(min_size=1, max_size=64), label="extra")
+    at = data.draw(st.sampled_from([56, len(whole)]), label="after header or payload")
+    for bad in (whole[:cut], whole[:at] + extra + whole[at:]):
+        path.write_bytes(bad)
+        with pytest.raises(ValueError):
+            read_binary(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid=_GRIDS, seed=st.integers(0, 2**32 - 1), at=st.integers(0, 55), flip=st.integers(1, 255))
+def test_binary_corrupted_header_byte_is_a_value_error_or_harmless(tmp_path_factory, grid, seed, at,
+                                                                    flip):
+    u = _random_field(grid, seed)
+    path = tmp_path_factory.mktemp("bin") / "u.bin"
+    write_binary(u, path)
+    data = bytearray(path.read_bytes())
+    data[at] ^= flip
+    path.write_bytes(bytes(data))
+    try:
+        back = read_binary(path)
+    except ValueError:
+        return
+    # a flip that still describes a grid of this shape (a last bit of t_end, say)
+    assert back.values.tobytes() == u.values.tobytes()
+
+
+def test_grid_rejects_non_finite_or_overflowing_spacings():
+    base = dict(n=1, extent=1.0, h=0.25, dt=0.25, t_start=0.0, t_end=1.0)
+    for bad in ({"extent": np.inf}, {"t_end": np.inf}, {"t_start": -np.inf}, {"dt": np.nan},
+                {"h": 5e-324}, {"dt": 5e-324}):
+        with pytest.raises(ValueError):
+            SpaceTimeGrid(**{**base, **bad})
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_binary_io_makes_no_field_sized_copy(tmp_path):
+    g = SpaceTimeGrid(n=2, extent=1.0, h=1 / 32, dt=1 / 256, t_start=0.0, t_end=0.25)
+    u = GridFunction(g, np.random.default_rng(9).standard_normal(g.shape))
+    path = tmp_path / "u.bin"
+    assert _peak_bytes(lambda: write_binary(u, path)) < 0.5 * u.values.nbytes
+    # the payload read once, then adopted without the constructor's copy
+    assert _peak_bytes(lambda: read_binary(path)) < 1.5 * u.values.nbytes
+
+
+def test_adopted_array_cannot_be_written_through():
+    g = small_grid()
+    vals = np.random.default_rng(1).standard_normal(g.shape)
+    u = GridFunction._adopt(g, vals)
+    assert np.shares_memory(u.values, vals)
+    with pytest.raises(ValueError, match="read-only"):
+        vals[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        u.values[0, 0] = 1.0
+
+
+def test_public_constructor_keeps_the_callers_array_its_own():
+    g = small_grid()
+    vals = np.random.default_rng(2).standard_normal(g.shape)
+    u = GridFunction(g, vals)
+    before = u.values.copy()
+    vals[...] = 7.0  # still writable, and no longer u's
+    assert np.array_equal(u.values, before)
+    transposed = np.asfortranarray(vals)
+    assert GridFunction(g, transposed).values.flags.c_contiguous
+
+
+@pytest.mark.parametrize("build", [GridFunction, GridFunction._adopt])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_both_constructors_reject_non_finite_values(build, bad):
+    g = small_grid()
+    vals = np.zeros(g.shape)
+    vals[3, 4] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        build(g, vals)
+    with pytest.raises(ValueError, match="values shape"):
+        build(g, np.zeros((2, 2)))
 
 
 def test_csv_export_small_only(tmp_path):

@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from plaplab import probe
+from plaplab.cylinders import rescale_outside
 from plaplab.exponents import INF, ProblemParams, sharp_exponents
-from plaplab.grids import GridFunction, Region, SpaceTimeGrid
+from plaplab.grids import GridFunction, Region, SpaceTimeGrid, _center_point
 from plaplab.probe import (
     UnresolvableCylinderError,
     check_dyadic_bound,
@@ -290,6 +292,66 @@ def test_profiles_of_a_center_build_and_reduce_each_cylinder_once(monkeypatch):
     assert rep.profile.entries == affine.entries
     fresh = GridFunction(g, u.values)
     assert plain == oscillation_profile(fresh, center, LAM, K, HEAT, mode="plain")
+
+
+def _center_results(u, center):
+    """Everything the probe computes at a center, in comparable form."""
+    reports = [oscillation_profile(u, center, LAM, K, HEAT, mode=mode) for mode in ("affine", "plain")]
+    reports.append(check_pointwise_c1alpha(u, center, HEAT, LAM, K))
+    if not reports[-1].critical:
+        out = rescale_outside(u, center, HEAT)
+        reports.append((out.certificates, out.mu_or_tau, out.v.values.tobytes()))
+    return reports
+
+
+def test_a_center_interpolates_its_value_gradient_and_noise_floor_once(monkeypatch):
+    g = synthetic_grid(h=1 / 256)
+    u = GridFunction.from_callable(g, lambda x, t: 0.8 * x + 0.3 * x * x + 0.05 * np.sin(9 * x) * t)
+    center = ((0.0,), 0.0)
+    expected = _center_results(GridFunction(g, u.values), center)
+    calls = {"value_at": 0, "gradient_at": 0, "noise": 0}
+
+    def spy(name, fn):
+        def counted(field, *args):
+            if field is u:
+                calls[name] += 1
+            return fn(field, *args)
+        return counted
+
+    monkeypatch.setattr(GridFunction, "value_at", spy("value_at", GridFunction.value_at))
+    monkeypatch.setattr(GridFunction, "gradient_at", spy("gradient_at", GridFunction.gradient_at))
+    monkeypatch.setattr(probe, "_interp_noise_floor", spy("noise", probe._interp_noise_floor))
+    got = _center_results(u, center)
+    assert not got[2].critical  # so rescale_outside ran, twice
+    assert calls == {"value_at": 1, "gradient_at": 1, "noise": 1}
+    assert got == expected
+
+
+def test_a_returned_gradient_cannot_change_a_later_profile():
+    g = synthetic_grid()
+    u = GridFunction.from_callable(g, lambda x, t: 0.4 * x * x + 0.1 * x * t + 0.05 * x)
+    center = ((0.1,), 0.0)
+    first = oscillation_profile(u, center, LAM, K, HEAT, mode="affine")
+    public = u.gradient_at((0.1,), 0.0)  # never cached: the caller's own array
+    public *= 100.0
+    _, shared = _center_point(u, np.array([0.1]), 0.0)
+    with pytest.raises(ValueError, match="read-only"):
+        shared[0] = 100.0
+    assert oscillation_profile(u, center, LAM, K, HEAT, mode="affine") == first
+    assert first == oscillation_profile(GridFunction(g, u.values), center, LAM, K, HEAT, mode="affine")
+
+
+def test_interleaved_centers_match_a_fresh_field_per_call():
+    g = synthetic_grid(h=1 / 256)
+    vals = GridFunction.from_callable(g, lambda x, t: 0.5 * x * x + 0.3 * x**3 + 0.2 * x * t).values
+    shared = GridFunction(g, vals)
+    steep, flat = ((0.5,), 0.0), ((0.0,), -0.01)
+    kinds = []
+    for center in (steep, flat, steep):  # A, B, A: each switch replaces the memo
+        got = _center_results(shared, center)
+        assert got == _center_results(GridFunction(g, vals), center)
+        kinds.append(got[2].critical)
+    assert kinds == [False, True, False]
 
 
 def test_concurrent_profiles_of_different_centers_on_one_field():

@@ -608,7 +608,7 @@ def test_semi_discrete_residual_matches_one_batched_build(n, h, extent):
 
 def test_semi_discrete_residual_memory_is_bounded():
     # the operator is built over bounded chunks of slices: the peak is the
-    # result and its frozen copy plus a fraction of the field
+    # result plus a fraction of the field
     g = SpaceTimeGrid(n=2, extent=4.0, h=1 / 32, dt=1 / 1024, t_start=1.0, t_end=1.0 + 32 / 1024)
     u = reference_solutions("barenblatt", 3.0, 2, g)
     tracemalloc.start()
@@ -618,6 +618,29 @@ def test_semi_discrete_residual_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 3.0 * u.values.nbytes
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fresh_fields_are_adopted_not_copied():
+    # solve, the reference fields and the power-law source own their result
+    # arrays, so the peak is one field plus a step's workspace
+    g = SpaceTimeGrid(n=2, extent=1.0, h=1 / 32, dt=1 / 1024, t_start=0.0, t_end=64 / 1024)
+    field = 8 * g.num_times * g.nodes_per_axis**2
+    assert _peak_bytes(lambda: reference_solutions("heat_mode", 2.0, 2, g)) < 1.5 * field
+    power = SourceSpec(kind="separable_power", a=0.2, b=0.2, q=8.0, r=4.0)
+    assert _peak_bytes(lambda: solver_module._separable_power_field(power, g)) < 1.5 * field
+    start = reference_solutions("heat_mode", 2.0, 2, g).values[0].copy()
+    for p in (2.0, 3.0):
+        config = SolveConfig(p=p, boundary=BoundarySpec(kind="zero"))
+        assert _peak_bytes(lambda: solve(g, config, SourceSpec(kind="zero"), start)) < 1.6 * field
 
 
 def test_barenblatt_residual_first_order():
