@@ -425,8 +425,7 @@ def run_probe(cfg: ExperimentConfig, out_dir: Path) -> dict:
                 "dyadic_passes": bound.passes,
             }
         )
-    prof0, fit0, bound0 = results[0]
-    prof0.to_csv(out_dir / "profile.csv", bounds=bound0)
+    probe.profiles_to_csv(out_dir / "profile.csv", [(prof, bound) for prof, _, bound in results])
     payload = {
         "scenario": cfg.scenario,
         "config_sha256": cfg.sha256,

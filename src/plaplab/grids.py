@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -638,13 +639,15 @@ def read_binary(path) -> GridFunction:
         if nt != grid.num_times:
             raise ValueError(f"header counts {nt} time slices, its grid has {grid.num_times}")
         expected = 8 * math.prod(grid.shape)
+        # the size is checked before the read, so a corrupt header that
+        # describes a huge grid cannot ask for a huge buffer
+        held = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if held != expected:
+            raise ValueError(f"payload needs {expected} bytes for grid shape {grid.shape}, "
+                             f"the file holds {held} after the header")
         # a sized read fills one bytes object; a bare read() would join the
         # buffered rest to it, a second payload-sized copy
         payload = fh.read(expected)
-        held = len(payload) + len(fh.read())
-    if held != expected:
-        raise ValueError(f"payload needs {expected} bytes for grid shape {grid.shape}, "
-                         f"the file holds {held} after the header")
     # the array reads the immutable payload in place
     return GridFunction._adopt(grid, np.frombuffer(payload, dtype="<f8").reshape(grid.shape))
 

@@ -65,31 +65,42 @@ class OscillationProfile:
     grid_h: float
     grid_dt: float
 
+    def csv_rows(self, bounds: "DyadicReport | None" = None) -> list[list]:
+        """Rows (k, rho, theta_k, S_k, bound_k, ratio), one per level; the
+        bound and the ratio are empty without bounds."""
+        by_k = {e.k: e for e in bounds.entries} if bounds is not None else {}
+        rows = []
+        for e in self.entries:
+            b = by_k.get(e.k)
+            rows.append([e.k, repr(e.rho), repr(e.theta_eff), repr(e.sup_osc),
+                         repr(b.thm_bound) if b else "", repr(b.ratio) if b else ""])
+        return rows
+
     def to_csv(self, path_or_buf, bounds: "DyadicReport | None" = None) -> None:
-        """Rows (k, rho, theta_k, S_k, bound_k, ratio); bounds optional."""
-        own = isinstance(path_or_buf, str) or hasattr(path_or_buf, "__fspath__")
-        buf = open(path_or_buf, "w", newline="") if own else path_or_buf
-        try:
-            writer = csv.writer(buf)
-            writer.writerow(["k", "rho", "theta_k", "S_k", "bound_k", "ratio"])
-            by_k = {}
-            if bounds is not None:
-                by_k = {e.k: e for e in bounds.entries}
-            for e in self.entries:
-                b = by_k.get(e.k)
-                writer.writerow(
-                    [
-                        e.k,
-                        repr(e.rho),
-                        repr(e.theta_eff),
-                        repr(e.sup_osc),
-                        repr(b.thm_bound) if b else "",
-                        repr(b.ratio) if b else "",
-                    ]
-                )
-        finally:
-            if own:
-                buf.close()
+        """The csv_rows under their header."""
+        _write_csv(path_or_buf, PROFILE_COLUMNS, self.csv_rows(bounds))
+
+
+PROFILE_COLUMNS = ["k", "rho", "theta_k", "S_k", "bound_k", "ratio"]
+
+
+def profiles_to_csv(path_or_buf, profiles) -> None:
+    """Every center's csv_rows, each led by its center id, the index of its
+    (profile, bounds) pair in profiles."""
+    _write_csv(path_or_buf, ["center", *PROFILE_COLUMNS],
+               [[i, *row] for i, (prof, bounds) in enumerate(profiles) for row in prof.csv_rows(bounds)])
+
+
+def _write_csv(path_or_buf, header: list, rows: list) -> None:
+    own = isinstance(path_or_buf, str) or hasattr(path_or_buf, "__fspath__")
+    buf = open(path_or_buf, "w", newline="") if own else path_or_buf
+    try:
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows(rows)
+    finally:
+        if own:
+            buf.close()
 
 
 def _count_axis_nodes(radius: float, h: float) -> int:

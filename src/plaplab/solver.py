@@ -8,10 +8,11 @@ linear system with the operator's step solver, directly by cyclic reduction
 in 1D, and in 2D and 3D by conjugate gradients to newton_tol within
 max_inner_iters, preconditioned by the fast-diagonalisation (DST-I) inverse
 of the constant-coefficient step matrix with the mean coupling, scaled to
-the operator's diagonal. At p = 2 the operator and its step solver are
-built once per solve. The explicit scheme runs behind a CFL guard; a failed
-step names its step and time. Dirichlet data only; the theory being
-exercised is interior.
+the operator's diagonal. At p = 2 the step matrix never changes and the
+DST-I diagonalises it, so the semi-implicit march runs in the sine
+eigenbasis instead, a chunk of time slices per transform. The explicit
+scheme runs behind a CFL guard; a failed step names its step and time.
+Dirichlet data only; the theory being exercised is interior.
 
 Alongside the solver live its verification surfaces: reference solutions
 (heat eigenmode, compactly supported self-similar profile for p > 2), the
@@ -96,9 +97,10 @@ class SolveConfig:
     """Scheme parameters; eps_reg = None means eps = h at solve time.
 
     newton_tol (relative residual) and max_inner_iters govern the
-    conjugate-gradient solve of the semi-implicit scheme in 2D and 3D, which
-    is preconditioned by a diagonally scaled fast-diagonalisation solver;
-    1D steps are solved directly.
+    conjugate-gradient solve of the semi-implicit scheme in 2D and 3D at
+    p != 2, which is preconditioned by a diagonally scaled
+    fast-diagonalisation solver. 1D steps are solved directly, and p = 2 is
+    marched exactly in the sine eigenbasis, so neither uses them.
     """
 
     p: float
@@ -189,12 +191,7 @@ def _source_field(spec: SourceSpec, grid: SpaceTimeGrid, require_certificate: bo
     elif spec.kind == "constant":
         f = GridFunction._adopt(grid, np.full(grid.shape, float(spec.c)))
     elif spec.kind == "separable_power":
-        if require_certificate and not spec.certificate_ok(grid.n):
-            raise ValueError(
-                f"separable power a={spec.a}, b={spec.b} has no finite "
-                f"L^({spec.q},{spec.r}) certificate in dimension {grid.n}"
-            )
-        f = _separable_power_field(spec, grid)
+        f = _separable_power_field(spec, grid, require_certificate)
     else:
         raise ValueError(f"unknown source kind {spec.kind!r}")
     return f
@@ -202,19 +199,32 @@ def _source_field(spec: SourceSpec, grid: SpaceTimeGrid, require_certificate: bo
 
 def _source_reader(spec: SourceSpec, grid: SpaceTimeGrid):
     """source_at(j): the source on the interior nodes of time slices j (an
-    index or a slice). Zero and constant sources read as a scalar, so no
+    index or a slice). Zero and constant sources read as a scalar, and a
+    separable power as its time factor times its space factor, so no
     space-time field is built for them."""
     if spec.kind in ("zero", "constant"):
         c = 0.0 if spec.kind == "zero" else float(spec.c)
         if not math.isfinite(c):
             raise ValueError(f"constant source value {c} is not finite")
         return lambda j: c
-    values = _source_field(spec, grid).values
     inner = (Ellipsis,) + (slice(1, -1),) * grid.n
+    if spec.kind == "separable_power":
+        at, space = _separable_power_factors(spec, grid)
+        space, lift = space[inner], (Ellipsis,) + (None,) * grid.n
+        return lambda j: at[j][lift] * space  # the float operations of the field
+    values = _source_field(spec, grid).values
     return lambda j: values[j][inner]
 
 
-def _separable_power_field(spec: SourceSpec, grid: SpaceTimeGrid) -> GridFunction:
+def _separable_power_factors(spec: SourceSpec, grid: SpaceTimeGrid,
+                             require_certificate: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """amplitude * t^(-b) on the time nodes and |x|^(-a) on the spatial nodes,
+    with the norm-preserving values in the singular cells (see make_source)."""
+    if require_certificate and not spec.certificate_ok(grid.n):
+        raise ValueError(
+            f"separable power a={spec.a}, b={spec.b} has no finite "
+            f"L^({spec.q},{spec.r}) certificate in dimension {grid.n}"
+        )
     mesh = grid.meshgrid()
     rr = np.sqrt(sum(m * m for m in mesh))
     if spec.a > 0.0:
@@ -237,7 +247,13 @@ def _separable_power_field(spec: SourceSpec, grid: SpaceTimeGrid) -> GridFunctio
                 tvals[j] = initial_slice_mean_power(grid.dt, spec.b * rr_t) ** (1.0 / rr_t)
     else:
         tvals = np.ones_like(ts)
-    return GridFunction._adopt(grid, spec.amplitude * tvals[(...,) + (None,) * grid.n] * space[None])
+    return spec.amplitude * tvals, space
+
+
+def _separable_power_field(spec: SourceSpec, grid: SpaceTimeGrid,
+                           require_certificate: bool = True) -> GridFunction:
+    at, space = _separable_power_factors(spec, grid, require_certificate)
+    return GridFunction._adopt(grid, at[(...,) + (None,) * grid.n] * space[None])
 
 
 # ---------------------------------------------------------------------------
@@ -324,18 +340,58 @@ def _dst_basis(m: int) -> np.ndarray:
     return math.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
 
 
-def _dst_all_axes(v: np.ndarray, work: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Apply basis along every axis of the 2D or 3D cube v by plain matmuls,
-    ping-ponging between v and work (both overwritten); returns the one
-    holding the result."""
+def _dst_all_axes(v: np.ndarray, work: np.ndarray, basis: np.ndarray, n: int) -> np.ndarray:
+    """Apply basis along each of the trailing n (2 or 3) cube axes of v by plain
+    matmuls, leading axes a batch, ping-ponging between v and work (both
+    overwritten); returns the one holding the result."""
     m = basis.shape[0]
-    np.matmul(basis, v.reshape(m, -1), out=work.reshape(m, -1))  # first axis
+    rest = m ** (n - 1)
+    np.matmul(basis, v.reshape(-1, m, rest), out=work.reshape(-1, m, rest))  # first axis
     v, work = work, v
-    if v.ndim == 3:
-        np.matmul(basis, v, out=work)  # middle axis, batched over the first
+    if n == 3:
+        np.matmul(basis, v.reshape(-1, m, m), out=work.reshape(-1, m, m))  # middle axis
         v, work = work, v
     np.matmul(v.reshape(-1, m), basis, out=work.reshape(-1, m))  # last axis
     return work
+
+
+def _sine_transform(m: int, n: int, batch: int):
+    """dst(v): the orthonormal DST-I, its own inverse, of v in place along its
+    trailing n axes of m nodes, for at most batch leading rows. In 1D it is
+    the real FFT of each row's odd extension, so no m x m basis is built; in
+    2D and 3D, _dst_basis matmuls along every axis. The odd extension and
+    the matmul workspace are allocated once."""
+    if n > 1:
+        basis, work = _dst_basis(m), np.empty((batch,) + (m,) * n)
+
+        def dst(v: np.ndarray) -> np.ndarray:
+            res = _dst_all_axes(v, work[:len(v)], basis, n)
+            if res is not v:  # three axes end in work
+                v[...] = res
+            return v
+
+        return dst
+    odd = np.zeros((batch, 2 * m + 2))  # rows (0, v, 0, -reversed v)
+    scale = -1.0 / math.sqrt(2.0 * (m + 1))
+
+    def dst(v: np.ndarray) -> np.ndarray:
+        b = len(v)
+        odd[:b, 1:m + 1] = v
+        np.negative(v[:, ::-1], out=odd[:b, m + 2:])
+        return np.multiply(np.fft.rfft(odd[:b])[:, 1:m + 1].imag, scale, out=v)
+
+    return dst
+
+
+def _inverse_eigenvalues(m: int, n: int, c: float) -> np.ndarray:
+    """1 / (1 + c sum_ax lambda_k), lambda_k = 2 - 2 cos(k pi / (m + 1)): the
+    inverse of I + c * (negative Dirichlet Laplacian) on the m^n interior cube
+    in the DST-I basis, whose eigenvalues the lambda_k are per axis."""
+    lam = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, m + 1) / (m + 1))
+    mu = sum(lam.reshape([-1 if a == ax else 1 for a in range(n)]) for ax in range(n))
+    mu *= c
+    mu += 1.0
+    return np.reciprocal(mu, out=mu)
 
 
 def _fast_diagonal_preconditioner(op: _StepOperator, basis: np.ndarray):
@@ -343,29 +399,23 @@ def _fast_diagonal_preconditioner(op: _StepOperator, basis: np.ndarray):
 
     Phi is the DST-I along every axis, which diagonalises the constant-
     coefficient step matrix I + cbar * (negative Dirichlet Laplacian) on the
-    interior cube, with eigenvalues 1 + cbar * sum of lambda_k = 2 - 2 cos(k pi
-    / (m + 1)) over the axes (fast diagonalisation, Lynch, Rice & Thomas 1964).
-    cbar is the mean coupling and s = sqrt(mean(diag) / diag) scales that
-    inverse to the operator's diagonal (Concus & Golub 1973). M is symmetric
-    positive definite and, at p = 2, the exact inverse of the step matrix.
-    Returns precond(r, out), which writes M^-1 r into out.
+    interior cube (_inverse_eigenvalues; fast diagonalisation, Lynch, Rice &
+    Thomas 1964). cbar is the mean coupling and s = sqrt(mean(diag) / diag)
+    scales that inverse to the operator's diagonal (Concus & Golub 1973). M
+    is symmetric positive definite and, at p = 2, the exact inverse of the
+    step matrix. Returns precond(r, out), which writes M^-1 r into out.
     """
     m, n = basis.shape[0], op.n
     dbar = float(np.mean(op.diag))
-    cbar = (dbar - 1.0) / (2 * n)
     s = np.sqrt(dbar / op.diag)
-    lam = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, m + 1) / (m + 1))
-    inv_eig = sum(lam.reshape([-1 if a == ax else 1 for a in range(n)]) for ax in range(n))
-    inv_eig *= cbar
-    inv_eig += 1.0
-    np.reciprocal(inv_eig, out=inv_eig)
+    inv_eig = _inverse_eigenvalues(m, n, (dbar - 1.0) / (2 * n))
     work = np.empty_like(s)
 
     def precond(r: np.ndarray, out: np.ndarray) -> None:
         np.multiply(s, r, out=out)
-        mid = _dst_all_axes(out, work, basis)
+        mid = _dst_all_axes(out, work, basis, n)
         mid *= inv_eig
-        back = _dst_all_axes(mid, work if mid is out else out, basis)
+        back = _dst_all_axes(mid, work if mid is out else out, basis, n)
         np.multiply(s, back, out=out)
 
     return precond
@@ -483,6 +533,57 @@ def _step_solver(op: _StepOperator, basis: np.ndarray | None, config: SolveConfi
     return lambda rhs, x: _pcg(op.apply, rhs, x, precond, config.newton_tol, config.max_inner_iters)
 
 
+# time slices are handled in chunks (of at least one slice) whose working
+# arrays hold about this many values each, so a chunk's temporaries stay a
+# fraction of a field
+_CHUNK_NODES = 1 << 16
+
+
+def _sine_march(out: np.ndarray, grid: SpaceTimeGrid, boundary_at, source_at) -> None:
+    """The semi-implicit march at p = 2, in place on out, whose first slice is set.
+
+    At p = 2 every step solves the same matrix I + (dt / h^2) L, L the
+    negative Dirichlet Laplacian, which the DST-I diagonalises, so in sine
+    coordinates a step is u^m = mu * (u^(m-1) + q^m), with mu from
+    _inverse_eigenvalues and q^m = dt f^m plus the couplings of the interior
+    to the Dirichlet values of slice m. For each chunk of time slices the
+    march fills their Dirichlet values, builds their q as one batch,
+    transforms it, runs the recurrence slice by slice in place and
+    transforms the result back into out. The first non-finite slice raises
+    SolverError naming its step and time.
+    """
+    n, dt, times = grid.n, grid.dt, grid.times()
+    m = grid.nodes_per_axis - 2
+    inner = (slice(None),) + (slice(1, -1),) * n
+    op = _StepOperator(np.zeros((1,) + grid.spatial_shape), n, grid.h, 2.0, 0.0, dt)
+    mu = _inverse_eigenvalues(m, n, dt / (grid.h * grid.h))
+    # the transform's workspace holds at most _CHUNK_NODES values (in 1D, the
+    # odd extension and its spectrum, that is four per node of a slice) and
+    # no more slices than the march has
+    width = math.prod(grid.spatial_shape) * (4 if n == 1 else 1)
+    chunk = min(grid.num_times - 1, max(1, _CHUNK_NODES // width))
+    dst = _sine_transform(m, n, chunk)
+    q = np.empty((chunk,) + (m,) * n)
+    prev = dst(out[:1][inner].copy())[0]  # the last slice marched, in sine coordinates
+    for j in range(1, grid.num_times, chunk):
+        block = out[j:j + chunk]
+        qb = q[:len(block)]
+        for k in range(len(block)):
+            block[k] = boundary_at(times[j + k])
+        np.multiply(dt, source_at(slice(j, j + len(block))), out=qb)
+        op.add_boundary(qb, block)
+        last = prev
+        for qk in dst(qb):
+            qk += last
+            qk *= mu
+            last = qk
+        np.copyto(prev, last)
+        block[inner] = dst(qb)
+        if not (np.isfinite(block.max()) and np.isfinite(block.min())):
+            bad = j + next(k for k in range(len(block)) if not np.isfinite(block[k]).all())
+            raise SolverError(f"step {bad} (t = {times[bad]:.6g}): solution is not finite")
+
+
 def solve(
     grid: SpaceTimeGrid,
     config: SolveConfig,
@@ -492,10 +593,12 @@ def solve(
     """Time-march the regularized flow from `initial` under Dirichlet data.
 
     Semi-implicit: one SPD solve per step with the lagged diffusivity,
-    unconditionally stable, first order in dt and second in h; the step
-    solver (_step_solver) is direct in 1D and conjugate gradients in 2D and
-    3D, and at p = 2 it is built once per solve, with the operator.
-    Zero and constant sources are read as a scalar per step.
+    unconditionally stable, first order in dt and second in h. At p = 2 the
+    step matrix never changes and the march runs in its sine eigenbasis
+    (_sine_march), exact to rounding; otherwise the step solver
+    (_step_solver) is direct in 1D and conjugate gradients in 2D and 3D.
+    Zero and constant sources are read as a scalar per step, a separable
+    power as a time factor times a space array.
     Explicit: forward Euler, guarded by dt <= 0.9 h^2 / (2 n max D).
     A CflError passes through unchanged; any other SolverError, a
     non-finite slice included, is raised again naming its step and time.
@@ -522,6 +625,9 @@ def solve(
 
     h, dt = grid.h, grid.dt
     explicit = config.scheme == "explicit"
+    if p == 2.0 and not explicit:
+        _sine_march(out, grid, boundary_at, source_at)
+        return GridFunction._adopt(grid, out)
     basis = None if explicit or grid.n == 1 else _dst_basis(grid.nodes_per_axis - 2)
     op = step_solve = None
     for m in range(1, grid.num_times):
@@ -618,9 +724,6 @@ def reference_solutions(name: str, p: float, n: int, grid: SpaceTimeGrid) -> Gri
     return GridFunction._adopt(grid, reference_slice(name, grid, grid.times()[(...,) + (None,) * n], p))
 
 
-_RESIDUAL_CHUNK_NODES = 1 << 16
-
-
 def semi_discrete_residual(u: GridFunction, p: float, source: SourceSpec | None = None,
                            eps_reg: float = 0.0) -> GridFunction:
     """Centered-difference residual u_t - div(|grad u|^(p-2) grad u) - f.
@@ -636,7 +739,7 @@ def semi_discrete_residual(u: GridFunction, p: float, source: SourceSpec | None 
     source_at = None if source is None else _source_reader(source, grid)
     # the interior slices are batched into operator builds of bounded size,
     # so the build's temporaries stay a fraction of the field
-    chunk = max(1, _RESIDUAL_CHUNK_NODES // math.prod(grid.spatial_shape))
+    chunk = max(1, _CHUNK_NODES // math.prod(grid.spatial_shape))
     for j in range(1, grid.num_times - 1, chunk):
         k = min(j + chunk, grid.num_times - 1)
         op = _StepOperator(v[j:k], grid.n, grid.h, p, eps_reg, 1.0)

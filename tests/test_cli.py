@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from plaplab import cli, cylinders
+from plaplab import cli, cylinders, probe
 from plaplab.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -147,7 +147,31 @@ def test_probe_subcommand(tmp_path):
     assert center["dyadic_passes"] is True
     assert (out / "solution.bin").exists()
     lines = (out / "profile.csv").read_text().splitlines()
-    assert lines[0] == "k,rho,theta_k,S_k,bound_k,ratio"
+    assert lines[0] == "center,k,rho,theta_k,S_k,bound_k,ratio"
+
+
+def test_probe_writes_every_center_to_the_profile(tmp_path):
+    # profile.csv holds each center's levels after its center id, the index
+    # of the center in summary.json
+    cfg = json.loads(json.dumps(SOLVE_CFG))
+    cfg["scenario"] = "two-center-probe"
+    cfg["grid"] = {"h": 1 / 128, "dt": 5e-05, "t_end": 0.25}
+    cfg["probe"] = {"lambda": 0.45, "K": 4, "mode": "affine", "centers": [[0.0, 0.25], [0.25, 0.25]]}
+    out = tmp_path / "two_out"
+    assert main(["probe", str(write_config(tmp_path, cfg)), "--out", str(out)]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert [c["center_x"] for c in summary["measured"]["centers"]] == [[0.0], [0.25]]
+    lines = (out / "profile.csv").read_text().splitlines()
+    assert lines[0] == "center,k,rho,theta_k,S_k,bound_k,ratio"
+    rows = [line.split(",") for line in lines[1:]]
+    # each center's rows are the levels of its own profile
+    u = read_binary(out / "solution.bin")
+    params = cli.load_config(write_config(tmp_path, cfg, "again.json")).params
+    want = []
+    for c, x in enumerate((0.0, 0.25)):
+        prof = probe.oscillation_profile(u, ((x,), 0.25), 0.45, 4, params, mode="affine")
+        want += [[str(c)] + [str(v) for v in row[:4]] for row in prof.csv_rows()]
+    assert len(want) > 4 and [r[:5] for r in rows] == want
 
 
 def test_probe_at_t_end_of_a_grid_whose_times_fall_short_of_it(tmp_path):

@@ -582,6 +582,18 @@ def test_binary_truncated_or_padded_payload_is_a_value_error(tmp_path):
             read_binary(path)
 
 
+def test_binary_header_of_a_huge_grid_is_a_value_error(tmp_path):
+    # a flipped exponent bit of h describes a grid of 2^37 or 2^67 nodes per
+    # axis; reading its payload raised MemoryError or OverflowError
+    g, path, data = _written(tmp_path)
+    for flip in (2, 4):
+        bad = bytearray(data)
+        bad[31] ^= flip  # the top byte of h
+        path.write_bytes(bytes(bad))
+        with pytest.raises(ValueError, match="payload needs"):
+            read_binary(path)
+
+
 def test_binary_header_time_count_must_match_its_grid(tmp_path):
     g, path, data = _written(tmp_path)
     bad = bytearray(data)

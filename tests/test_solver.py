@@ -228,9 +228,10 @@ def test_reference_slice_is_a_slice_of_the_reference_field():
 
 
 def test_inner_solve_divergence_reports():
-    # conjugate gradients run in 2D and 3D only; 1D steps are a direct solve
+    # conjugate gradients run in 2D and 3D off p = 2 only; 1D steps are a
+    # direct solve, and p = 2 marches in the sine eigenbasis
     g = SpaceTimeGrid(n=2, extent=1.0, h=1 / 16, dt=1 / 64, t_start=0.0, t_end=3 / 64)
-    cfg = SolveConfig(p=2.0, max_inner_iters=1, newton_tol=1e-14,
+    cfg = SolveConfig(p=3.0, max_inner_iters=1, newton_tol=1e-14,
                       boundary=BoundarySpec(kind="zero"))
     rng = np.random.default_rng(0)
     with pytest.raises(SolverError, match="did not reach rtol"):
@@ -252,6 +253,35 @@ def test_scalar_sources_match_their_tabulated_fields(n, kind):
         got = solve(g, cfg, SourceSpec(kind=kind, c=c), init).values
         want = solve(g, cfg, SourceSpec(kind="tabulated", table=table), init).values
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_separable_power_reader_is_its_field_bit_for_bit(n):
+    # the singular cells at the origin and at t = 0 included
+    h = {1: 1 / 16, 2: 1 / 8, 3: 1 / 4}[n]
+    g = SpaceTimeGrid(n=n, extent=1.0, h=h, dt=1 / 64, t_start=0.0, t_end=8 / 64)
+    spec = SourceSpec(kind="separable_power", a=0.4, b=0.3, amplitude=1.7, q=2.0, r=3.0)
+    values = solver_module._source_field(spec, g).values
+    read = _source_reader(spec, g)
+    inner = (Ellipsis,) + (slice(1, -1),) * n
+    for j in (0, 3, slice(0, 4), slice(2, 9)):
+        got, want = read(j), values[j][inner]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_1d_singular_solve_builds_no_source_field(p):
+    # the solve-1d singular case: the source is read a slice (or, at p = 2, a
+    # chunk of slices) at a time, so the peak is the result plus a step's
+    # workspace; the p = 2 march adds at most two chunk budgets of values
+    g = SpaceTimeGrid(n=1, extent=1.0, h=1 / 256, dt=2e-5, t_start=0.0, t_end=400 * 2e-5)
+    src = SourceSpec(kind="separable_power", a=0.0, b=0.2, q=np.inf, r=4.0)
+    field = 8 * g.num_times * g.nodes_per_axis
+    peak = _peak_bytes(lambda: solve(g, SolveConfig(p=p), src, np.zeros(g.spatial_shape)))
+    if p == 2.0:
+        assert peak <= field + 2 * 8 * solver_module._CHUNK_NODES
+    else:
+        assert peak <= 1.3 * field
 
 
 def test_non_finite_constant_source_is_rejected():
@@ -343,12 +373,14 @@ def test_preconditioned_3d_p3_step_iterations():
 
 
 def test_inner_solve_may_converge_on_its_last_iteration():
-    # at p = 2 a step converges in one iteration, so one is enough
+    # at p = 2 the preconditioner is the exact inverse, so one iteration is enough
     g = SpaceTimeGrid(n=2, extent=1.0, h=1 / 16, dt=1 / 64, t_start=0.0, t_end=3 / 64)
-    cfg = SolveConfig(p=2.0, max_inner_iters=1, newton_tol=1e-10,
-                      boundary=BoundarySpec(kind="zero"))
     init = np.random.default_rng(0).random(g.spatial_shape)
-    solve(g, cfg, SourceSpec(kind="constant", c=1.0), init)
+    op = _StepOperator(init, 2, g.h, 2.0, g.h, g.dt)
+    precond = _fast_diagonal_preconditioner(op, _dst_basis(g.nodes_per_axis - 2))
+    rhs = init[1:-1, 1:-1] + g.dt
+    _, iters = _pcg(op.apply, rhs, np.zeros_like(rhs), precond, 1e-10, 1)
+    assert iters == 1
 
 
 @pytest.mark.parametrize("p, what", [(2.0, "solution is not finite"), (3.0, "pivot nan")])
@@ -368,15 +400,29 @@ def test_direct_solve_reports_nan_initial_data(p, what):
 @pytest.mark.parametrize("p", [2.0, 3.0])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_step_solver_is_built_once_per_solve_at_p2(monkeypatch, n, p):
-    # at p = 2 the step matrix never changes, so neither does its solver
+    # at p = 2 the step matrix never changes: its operator is built once per
+    # solve and no step solver at all, since the march runs in the sine
+    # eigenbasis; at p = 3 both are built every step
     builder = "_tridiag_factor" if n == 1 else "_fast_diagonal_preconditioner"
-    real, builds = getattr(solver_module, builder), []
-    monkeypatch.setattr(solver_module, builder, lambda *args: builds.append(1) or real(*args))
+    counts = {builder: 0, "_StepOperator": 0}
+
+    def counting(name):
+        real = getattr(solver_module, name)
+
+        def build(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return build
+
+    for name in counts:
+        monkeypatch.setattr(solver_module, name, counting(name))
     h, steps = {1: 1 / 16, 2: 1 / 8, 3: 1 / 4}[n], 5
     g = box_grid(n, h, h * h, steps)
     init = reference_solutions("heat_mode", 2.0, n, g).values[0]
     solve(g, SolveConfig(p=p, boundary=BoundarySpec(kind="zero")), SourceSpec(kind="zero"), init)
-    assert len(builds) == (1 if p == 2.0 else steps)
+    assert counts == ({builder: 0, "_StepOperator": 1} if p == 2.0
+                      else {builder: steps, "_StepOperator": steps})
 
 
 @pytest.mark.parametrize("scheme", ["semi_implicit", "explicit"])
@@ -401,8 +447,7 @@ def test_cfl_error_is_not_renamed_by_the_step_report():
 
 
 def _march_tridiagonal_reference(grid, config, source, initial):
-    # the 1D semi-implicit march as its own loop, with its own boundary
-    # terms; the shared time loop must reproduce it bit for bit
+    # the 1D semi-implicit march as its own loop, with its own boundary terms
     p, eps, h, dt = config.p, config.resolved_eps(grid), grid.h, grid.dt
     source_at = _source_reader(source, grid)
     times = grid.times()
@@ -442,7 +487,91 @@ def test_1d_solve_matches_its_own_tridiagonal_march(p, boundary):
     for src in (SourceSpec(kind="zero"),
                 SourceSpec(kind="separable_power", a=0.0, b=0.2, q=np.inf, r=4.0)):
         got = solve(g, cfg, src, init).values
-        assert np.array_equal(got, _march_tridiagonal_reference(g, cfg, src, init))
+        want = _march_tridiagonal_reference(g, cfg, src, init)
+        if p == 2.0:  # the sine-basis march: the same steps, rounded differently
+            _assert_march_close(got, want)
+        else:  # the shared time loop reproduces it bit for bit
+            assert np.array_equal(got, want)
+
+
+def _assert_march_close(got, want):
+    # the bound for a march that takes the same steps, rounded differently
+    assert np.max(np.abs(got - want)) <= 1e-11 * max(1.0, float(np.max(np.abs(want))))
+
+
+def _march_pcg_reference(grid, config, source, initial):
+    # the 2D/3D semi-implicit p = 2 march step by step: one operator, and
+    # conjugate gradients preconditioned by its exact fast-diagonalisation inverse
+    h, dt, times = grid.h, grid.dt, grid.times()
+    inner = (slice(1, -1),) * grid.n
+    source_at = _source_reader(source, grid)
+    out = np.empty(grid.shape)
+    out[0] = config.boundary.evaluate(grid, times[0], 2.0)
+    out[0][inner] = initial[inner]
+    op = _StepOperator(out[0], grid.n, h, 2.0, h, dt)
+    precond = _fast_diagonal_preconditioner(op, _dst_basis(grid.nodes_per_axis - 2))
+    for m in range(1, len(times)):
+        out[m] = config.boundary.evaluate(grid, times[m], 2.0)
+        rhs = out[m - 1][inner] + dt * source_at(m)
+        op.add_boundary(rhs, out[m])
+        x, _ = _pcg(op.apply, rhs, out[m - 1][inner].copy(), precond, 1e-13, 20)
+        out[m][inner] = x
+    return out
+
+
+def _boundary(kind, n):
+    return {"zero": BoundarySpec(kind="zero"),
+            "constant": BoundarySpec(kind="constant", value=0.4),
+            "affine": BoundarySpec(kind="affine", value=0.1, gradient=(0.3, -0.2, 0.1)[:n]),
+            "heat_mode": BoundarySpec(kind="reference", name="heat_mode")}[kind]
+
+
+@pytest.mark.parametrize("boundary", ["zero", "constant", "affine", "heat_mode"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_nd_p2_march_matches_a_conjugate_gradient_march(n, boundary):
+    h = {2: 1 / 8, 3: 1 / 4}[n]
+    g = box_grid(n, h, h * h, 6)
+    bd = _boundary(boundary, n)
+    rng = np.random.default_rng(n)
+    init = bd.evaluate(g, 0.0, 2.0) + 0.1 * rng.standard_normal(g.spatial_shape)
+    table = GridFunction(g, rng.standard_normal(g.shape))
+    cfg = SolveConfig(p=2.0, boundary=bd)
+    for src in (SourceSpec(kind="zero"), SourceSpec(kind="constant", c=0.7),
+                SourceSpec(kind="separable_power", a=0.3, b=0.2, q=4.0, r=4.0),
+                SourceSpec(kind="tabulated", table=table)):
+        _assert_march_close(solve(g, cfg, src, init).values, _march_pcg_reference(g, cfg, src, init))
+
+
+def _chunked_case(monkeypatch, n):
+    # 21 steps under a budget of 16 slices' nodes: the 1D march (four values
+    # per node) takes chunks of 4 slices, the 2D/3D one chunks of 16, and
+    # the last chunk is short
+    h = {1: 1 / 8, 2: 1 / 8, 3: 1 / 4}[n]
+    g = box_grid(n, h, h * h, 21)
+    monkeypatch.setattr(solver_module, "_CHUNK_NODES", 16 * g.nodes_per_axis ** n)
+    return g
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_p2_march_runs_across_chunks(monkeypatch, n):
+    g = _chunked_case(monkeypatch, n)
+    cfg = SolveConfig(p=2.0, boundary=_boundary("heat_mode", n))
+    init = reference_solutions("heat_mode", 2.0, n, g).values[0]
+    src = SourceSpec(kind="separable_power", a=0.3, b=0.2, q=2.0, r=4.0)
+    reference = _march_tridiagonal_reference if n == 1 else _march_pcg_reference
+    _assert_march_close(solve(g, cfg, src, init).values, reference(g, cfg, src, init))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_p2_march_names_the_step_of_a_nan_source_in_a_later_chunk(monkeypatch, n):
+    g = _chunked_case(monkeypatch, n)
+    table = GridFunction(g, np.zeros(g.shape))
+    step = 6 if n == 1 else 19  # inside the second chunk
+    table.values.setflags(write=True)  # a table that went bad after its checks
+    table.values[(step,) + (2,) * n] = np.nan
+    with pytest.raises(SolverError, match=rf"^step {step} \(t = .*not finite"):
+        solve(g, SolveConfig(p=2.0, boundary=BoundarySpec(kind="zero")),
+              SourceSpec(kind="tabulated", table=table), np.zeros(g.spatial_shape))
 
 
 def _tridiagonal_system(n, seed, scale):
@@ -475,21 +604,23 @@ def test_tridiagonal_factor_rejects_bad_pivots():
         _tridiag_factor(np.array([1.0, np.inf, 1.0]), np.array([0.5, 0.5]))
 
 
-def test_1d_solve_does_not_import_scipy_linalg():
-    # importing scipy.linalg costs about 27 MB of resident memory
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_1d_solve_does_not_import_scipy_linalg(p):
+    # importing scipy.linalg costs about 27 MB of resident memory; the p = 2
+    # march transforms by numpy's own FFT
     code = (
         "import sys, numpy as np\n"
         "from plaplab.grids import SpaceTimeGrid\n"
         "from plaplab.solver import SolveConfig, SourceSpec, solve\n"
         "g = SpaceTimeGrid(n=1, extent=1.0, h=1 / 32, dt=1 / 1024, t_start=0.0, t_end=1 / 64)\n"
-        "solve(g, SolveConfig(p=3.0), SourceSpec(kind='constant', c=1.0), np.zeros(g.spatial_shape))\n"
-        "print('scipy.linalg' in sys.modules)\n"
+        f"solve(g, SolveConfig(p={p}), SourceSpec(kind='constant', c=1.0), np.zeros(g.spatial_shape))\n"
+        "print('scipy.linalg' in sys.modules, 'scipy.fft' in sys.modules)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 @pytest.mark.parametrize("field, value", [
