@@ -22,7 +22,6 @@ from .grids import (
     anisotropic_norm,
     energy_norm,
     read_binary,
-    steklov_average,
     sup_oscillation,
     write_binary,
 )

@@ -440,28 +440,6 @@ def anisotropic_norm(f: GridFunction, q: float, r: float, region: Region) -> flo
     return float(np.sum(slice_vals**r * tw) ** (1.0 / r))
 
 
-def steklov_average(u: GridFunction, window: float) -> GridFunction:
-    """Sliding forward-in-time mean over `window`, zero past t_end - window.
-
-    window must be a positive multiple of dt and smaller than the time
-    extent. The average uses the trapezoid rule, so linear-in-time fields
-    average exactly.
-    """
-    grid = u.grid
-    k = window / grid.dt
-    if abs(k - round(k)) > _ALIGN_TOL * max(1.0, k) or round(k) < 1:
-        raise ValueError(f"window must be a positive multiple of dt, got {window}")
-    k = int(round(k))
-    if k >= grid.num_times:
-        raise ValueError("window exceeds the grid time extent")
-    out = np.zeros_like(u.values)
-    tw = np.full(k + 1, grid.dt)
-    tw[0] = tw[-1] = grid.dt / 2
-    for j in range(grid.num_times - k):
-        out[j] = np.tensordot(tw, u.values[j : j + k + 1], axes=(0, 0)) / window
-    return GridFunction._adopt(grid, out)
-
-
 def energy_norm(u: GridFunction, p: float, region: Region) -> float:
     """max-over-slices spatial L2 plus the space-time L^p norm of the gradient."""
     grid = u.grid
@@ -651,21 +629,3 @@ def read_binary(path) -> GridFunction:
     # the array reads the immutable payload in place
     return GridFunction._adopt(grid, np.frombuffer(payload, dtype="<f8").reshape(grid.shape))
 
-
-def write_csv(u: GridFunction, path, max_nodes: int = 200_000) -> None:
-    """Plain table (t, x..., value); refuses grids above max_nodes."""
-    total = int(np.prod(u.grid.shape))
-    if total > max_nodes:
-        raise ValueError(f"grid too large for CSV ({total} nodes > {max_nodes})")
-    import csv as _csv
-
-    axes = u.grid.spatial_axes()
-    mesh = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([m.ravel() for m in mesh], axis=1)
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["t"] + [f"x{i+1}" for i in range(u.grid.n)] + ["value"])
-        for j, t in enumerate(u.grid.times()):
-            flat = u.values[j].ravel()
-            for row, val in zip(coords, flat):
-                writer.writerow([repr(t)] + [repr(c) for c in row] + [repr(val)])

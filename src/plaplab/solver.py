@@ -134,6 +134,7 @@ class SourceSpec:
     kinds: "zero", "constant" (c), "separable_power"
     (amplitude * |x|^(-a) * t^(-b)), "tabulated" (a GridFunction).
     A separable power has finite L^(q,r) norm iff a*q < n and b*r < 1.
+    c, a, b and amplitude must be finite.
     """
 
     kind: str = "zero"
@@ -148,6 +149,9 @@ class SourceSpec:
     def __post_init__(self):
         if not (1.0 <= self.q <= INF and 1.0 <= self.r <= INF):
             raise ValueError(f"source exponents q = {self.q}, r = {self.r} must lie in [1, inf]")
+        for name in ("c", "a", "b", "amplitude"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} = {getattr(self, name)} is not finite")
 
     def certificate_ok(self, n: int) -> bool:
         if self.kind != "separable_power":
@@ -159,68 +163,77 @@ class SourceSpec:
 
 @dataclass(frozen=True)
 class SourceField:
-    """Nodal source values plus the computed L^(q,r) norm certificate."""
+    """A source's computed L^(q,r) norm certificate."""
 
-    field: GridFunction
     norm_qr: float
     spec: SourceSpec
 
 
-def make_source(spec: SourceSpec, grid: SpaceTimeGrid, require_certificate: bool = True) -> SourceField:
-    """Sample a source on the grid and attach its L^(q,r) norm.
+def make_source(spec: SourceSpec, grid: SpaceTimeGrid) -> SourceField:
+    """The source's L^(q,r) norm over the whole grid, as a certificate.
 
-    Cells containing the spatial origin or the initial time carry
-    norm-preserving equivalent values for power-law sources (the true node
-    value would be infinite); the equivalence is taken at the spec's target
-    exponents, so the attached norm is the faithful quadrature of the
+    The full-domain quadrature (trapezoid in time, midpoint in space) has
+    product weights, so every kind but "tabulated" is the product
+    ||T||_r * ||S||_q of its factors (_source_factors), with no space-time
+    field built. Cells containing the spatial origin or the initial time
+    carry norm-preserving equivalent values for power-law sources (the true
+    node value would be infinite); the equivalence is taken at the spec's
+    target exponents, so the norm is the faithful quadrature of the
     singular integrand.
     """
-    f = _source_field(spec, grid, require_certificate)
-    norm = anisotropic_norm(f, spec.q, spec.r, full_domain_region(grid))
-    return SourceField(field=f, norm_qr=norm, spec=spec)
-
-
-def _source_field(spec: SourceSpec, grid: SpaceTimeGrid, require_certificate: bool = True) -> GridFunction:
-    """The nodal values of make_source, without the norm."""
+    region = full_domain_region(grid)
     if spec.kind == "tabulated":
-        if spec.table is None or spec.table.grid != grid:
-            raise ValueError("tabulated source needs a table on the same grid")
-        f = spec.table
-    elif spec.kind == "zero":
-        f = GridFunction._adopt(grid, np.zeros(grid.shape))
-    elif spec.kind == "constant":
-        f = GridFunction._adopt(grid, np.full(grid.shape, float(spec.c)))
-    elif spec.kind == "separable_power":
-        f = _separable_power_field(spec, grid, require_certificate)
-    else:
-        raise ValueError(f"unknown source kind {spec.kind!r}")
-    return f
+        return SourceField(anisotropic_norm(_table(spec, grid), spec.q, spec.r, region), spec)
+    at, space = _source_factors(spec, grid)
+    _, tw = region.time_weights(grid)
+    sw = region.space_weights(grid)
+    return SourceField(_weighted_norm(at, tw, spec.r) * _weighted_norm(space, sw, spec.q), spec)
+
+
+def _weighted_norm(values, weights: np.ndarray, s: float) -> float:
+    """(sum |values|^s weights)^(1/s), or max |values| for s = inf; values
+    is an array or a scalar broadcast against the weights."""
+    if np.isinf(s):
+        return float(np.max(np.abs(values)))
+    return float(np.sum(np.abs(values) ** s * weights) ** (1.0 / s))
+
+
+def _table(spec: SourceSpec, grid: SpaceTimeGrid) -> GridFunction:
+    if spec.table is None or spec.table.grid != grid:
+        raise ValueError("tabulated source needs a table on the same grid")
+    return spec.table
 
 
 def _source_reader(spec: SourceSpec, grid: SpaceTimeGrid):
-    """source_at(j): the source on the interior nodes of time slices j (an
-    index or a slice). Zero and constant sources read as a scalar, and a
-    separable power as its time factor times its space factor, so no
-    space-time field is built for them."""
+    """source_at(index): the source at values[index] of a field on the grid,
+    index a time index or slice followed by one node slice per axis. Zero
+    and constant sources read as a scalar, and a separable power as its
+    time factor times its space factor, so no space-time field is built
+    for them."""
+    if spec.kind == "tabulated":
+        values = _table(spec, grid).values
+        return lambda index: values[index]
+    at, space = _source_factors(spec, grid)
+    if spec.kind != "separable_power":
+        return lambda index: at  # c, times S = 1
+    lift = (Ellipsis,) + (None,) * grid.n
+    return lambda index: at[index[0]][lift] * space[index[1:]]
+
+
+def _source_factors(spec: SourceSpec, grid: SpaceTimeGrid):
+    """(T, S): the source is T[j] * S[x] on time slice j and spatial node x.
+
+    Zero and constant sources are T = c and S = 1, both scalars. A separable
+    power is amplitude * t^(-b) on the time nodes and |x|^(-a) on the
+    spatial nodes, with the norm-preserving values in the singular cells
+    (see make_source); it must have a finite certificate. Not for
+    "tabulated", which has no factors.
+    """
     if spec.kind in ("zero", "constant"):
-        c = 0.0 if spec.kind == "zero" else float(spec.c)
-        if not math.isfinite(c):
-            raise ValueError(f"constant source value {c} is not finite")
-        return lambda j: c
-    inner = (Ellipsis,) + (slice(1, -1),) * grid.n
-    if spec.kind == "separable_power":
-        at, space = _separable_power_factors(spec, grid)
-        space, lift = space[inner], (Ellipsis,) + (None,) * grid.n
-        return lambda j: at[j][lift] * space  # the float operations of the field
-    values = _source_field(spec, grid).values
-    return lambda j: values[j][inner]
-
-
-def _separable_power_factors(spec: SourceSpec, grid: SpaceTimeGrid,
-                             require_certificate: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """amplitude * t^(-b) on the time nodes and |x|^(-a) on the spatial nodes,
-    with the norm-preserving values in the singular cells (see make_source)."""
-    if require_certificate and not spec.certificate_ok(grid.n):
+        return (0.0 if spec.kind == "zero" else float(spec.c)), 1.0
+    if spec.kind != "separable_power":
+        raise ValueError(f"unknown source kind {spec.kind!r}")
+    if not spec.certificate_ok(grid.n):
         raise ValueError(
             f"separable power a={spec.a}, b={spec.b} has no finite "
             f"L^({spec.q},{spec.r}) certificate in dimension {grid.n}"
@@ -248,12 +261,6 @@ def _separable_power_factors(spec: SourceSpec, grid: SpaceTimeGrid,
     else:
         tvals = np.ones_like(ts)
     return spec.amplitude * tvals, space
-
-
-def _separable_power_field(spec: SourceSpec, grid: SpaceTimeGrid,
-                           require_certificate: bool = True) -> GridFunction:
-    at, space = _separable_power_factors(spec, grid, require_certificate)
-    return GridFunction._adopt(grid, at[(...,) + (None,) * grid.n] * space[None])
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +577,7 @@ def _sine_march(out: np.ndarray, grid: SpaceTimeGrid, boundary_at, source_at) ->
         qb = q[:len(block)]
         for k in range(len(block)):
             block[k] = boundary_at(times[j + k])
-        np.multiply(dt, source_at(slice(j, j + len(block))), out=qb)
+        np.multiply(dt, source_at((slice(j, j + len(block)),) + inner[1:]), out=qb)
         op.add_boundary(qb, block)
         last = prev
         for qk in dst(qb):
@@ -597,8 +604,8 @@ def solve(
     step matrix never changes and the march runs in its sine eigenbasis
     (_sine_march), exact to rounding; otherwise the step solver
     (_step_solver) is direct in 1D and conjugate gradients in 2D and 3D.
-    Zero and constant sources are read as a scalar per step, a separable
-    power as a time factor times a space array.
+    The source is read through _source_reader, so no space-time source
+    field is built for zero, constant or separable-power kinds.
     Explicit: forward Euler, guarded by dt <= 0.9 h^2 / (2 n max D).
     A CflError passes through unchanged; any other SolverError, a
     non-finite slice included, is raised again naming its step and time.
@@ -644,9 +651,9 @@ def solve(
             u_new = out[m]
             u_new[...] = boundary_at(times[m])
             if explicit:
-                u_new[inner] = u[inner] + op.flux(u) + dt * source_at(m - 1)
+                u_new[inner] = u[inner] + op.flux(u) + dt * source_at((m - 1,) + inner)
             else:
-                rhs = u[inner] + dt * source_at(m)
+                rhs = u[inner] + dt * source_at((m,) + inner)
                 op.add_boundary(rhs, u_new)
                 u_new[inner] = u[inner]  # the start, solved in place
                 step_solve(rhs, u_new[inner])
@@ -745,7 +752,7 @@ def semi_discrete_residual(u: GridFunction, p: float, source: SourceSpec | None 
         op = _StepOperator(v[j:k], grid.n, grid.h, p, eps_reg, 1.0)
         res = (v[j + 1:k + 1][space] - v[j - 1:k - 1][space]) / (2.0 * grid.dt) - op.flux(v[j:k])
         if source_at is not None:
-            res -= source_at(slice(j, k))
+            res -= source_at((slice(j, k),) + space[1:])
         out[j:k][space] = res
     return GridFunction._adopt(grid, out)
 
@@ -769,7 +776,8 @@ def weak_residual(u: GridFunction, source: SourceSpec, psi: GridFunction,
             + int int (-u psi_t + |grad u|^(p-2) grad u . grad psi)
             - int int f psi
     over the region, by midpoint-in-space / trapezoid-in-time quadrature.
-    psi must vanish on the spatial boundary of the region.
+    psi must vanish on the spatial boundary of the region. The source is
+    read on the region's block only (_source_reader).
     """
     grid = u.grid
     if psi.grid != grid:
@@ -778,10 +786,10 @@ def weak_residual(u: GridFunction, source: SourceSpec, psi: GridFunction,
     _, tw = region.time_weights(grid)
     sw = region.space_weights(grid)[blk.box]
     _check_compact_support(psi, region, blk)
-    f = _source_field(source, grid)
+    fv = _source_reader(source, grid)(blk.index)
 
     space = tuple(range(1, grid.n + 1))
-    uv, pv, fv = (v.values[blk.index] for v in (u, psi, f))
+    uv, pv = u.values[blk.index], psi.values[blk.index]
     psi_t = _time_derivative(psi.values[(slice(None),) + blk.box], grid.dt)[blk.times]
     boundary_term = float(np.sum(uv[-1] * pv[-1] * sw) - np.sum(uv[0] * pv[0] * sw))
     gu, gpsi = u.gradient_on(blk.index), psi.gradient_on(blk.index)

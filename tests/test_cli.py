@@ -335,6 +335,7 @@ BAD_FIELDS = [
     ("solve", {"source": {"kind": "constant"}}, "source.a", True, "source.a"),
     ("solve", {"source": {"kind": "constant"}}, "source.b", math.nan, "source.b"),
     ("solve", {"source": {"kind": "constant"}}, "source.amplitude", "x", "source.amplitude"),
+    ("solve", {}, "source.amplitude", 1e400, "source: amplitude = inf is not finite"),  # overflows to inf
     ("solve", {}, "solve.newton_tol", math.nan, "solve.newton_tol"),
     ("solve", {}, "solve.eps_reg", math.nan, "solve.eps_reg"),
     ("solve", {}, "solve.newton_tol", -1.0, "solve: newton_tol"),

@@ -15,10 +15,8 @@ from plaplab.grids import (
     initial_slice_mean_power,
     origin_cell_mean_radial_power,
     read_binary,
-    steklov_average,
     sup_oscillation,
     write_binary,
-    write_csv,
 )
 
 
@@ -291,63 +289,6 @@ def test_norm_rejects_empty_region():
     with pytest.raises(ValueError):
         bad = Region(center=(0.0,), half_widths=(0.5,), t_start=5.0, t_end=6.0)
         anisotropic_norm(f, 2.0, 2.0, bad)
-
-
-# ---------------------------------------------------------------------------
-# steklov average
-
-def test_steklov_constant_in_time_unchanged():
-    g = small_grid(dt=1 / 32, t_end=0.5)
-    u = GridFunction.from_callable(g, lambda x, t: np.cos(x))
-    w = 4 * g.dt
-    avg = steklov_average(u, w)
-    keep = g.times() <= g.t_end - w + 1e-12
-    assert np.allclose(avg.values[keep], u.values[keep], atol=1e-13)
-    assert np.allclose(avg.values[~keep], 0.0)
-
-
-def test_steklov_linear_in_time_shifts():
-    g = small_grid(dt=1 / 64, t_end=0.5)
-    u = GridFunction.from_callable(g, lambda x, t: t + 0 * x)
-    w = 8 * g.dt
-    avg = steklov_average(u, w)
-    ts = g.times()
-    keep = ts <= g.t_end - w + 1e-12
-    assert np.allclose(avg.values[keep, 3], ts[keep] + w / 2, atol=1e-13)
-
-
-def test_steklov_window_refinement_converges():
-    g = small_grid(dt=1 / 256, t_end=0.25)
-    u = GridFunction.from_callable(g, lambda x, t: np.sin(8 * t) + 0 * x)
-    errs = []
-    for k in (16, 8, 4, 2):
-        w = k * g.dt
-        avg = steklov_average(u, w)
-        keep = g.times() <= g.t_end - 16 * g.dt
-        errs.append(np.max(np.abs(avg.values[keep] - u.values[keep])))
-    assert all(b < a for a, b in zip(errs, errs[1:]))
-    # first-order in the window size
-    assert errs[-1] < errs[0] / 4
-
-
-def test_steklov_commutes_with_constants():
-    g = small_grid(dt=1 / 64, t_end=0.5)
-    u = GridFunction.from_callable(g, lambda x, t: np.sin(3 * t) * np.cos(x))
-    shifted = GridFunction(g, u.values + 4.0)
-    w = 4 * g.dt
-    a1 = steklov_average(u, w)
-    a2 = steklov_average(shifted, w)
-    keep = g.times() <= g.t_end - w + 1e-12
-    assert np.allclose(a2.values[keep], a1.values[keep] + 4.0, atol=1e-12)
-
-
-def test_steklov_rejects_bad_windows():
-    g = small_grid()
-    u = GridFunction(g, np.zeros(g.shape))
-    with pytest.raises(ValueError):
-        steklov_average(u, 10.0)
-    with pytest.raises(ValueError):
-        steklov_average(u, g.dt * 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -729,14 +670,3 @@ def test_both_constructors_reject_non_finite_values(build, bad):
         build(g, vals)
     with pytest.raises(ValueError, match="values shape"):
         build(g, np.zeros((2, 2)))
-
-
-def test_csv_export_small_only(tmp_path):
-    g = small_grid(h=1 / 4, dt=1 / 8, t_end=0.25)
-    u = GridFunction(g, np.zeros(g.shape))
-    write_csv(u, tmp_path / "u.csv")
-    header = (tmp_path / "u.csv").read_text().splitlines()[0]
-    assert header == "t,x1,value"
-    big = SpaceTimeGrid(n=3, extent=1.0, h=1 / 32, dt=1 / 128, t_start=0.0, t_end=1.0)
-    with pytest.raises(ValueError):
-        write_csv(GridFunction(big, np.zeros(big.shape)), tmp_path / "big.csv")

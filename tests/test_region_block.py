@@ -21,6 +21,7 @@ from plaplab.solver import (
     SolveConfig,
     SourceSpec,
     _rim,
+    _source_reader,
     _time_derivative,
     bump_battery,
     caccioppoli_gap,
@@ -187,20 +188,22 @@ def _weak_residual_by_slices(u, source, psi, region, p):
     grid = u.grid
     idx, tw = region.time_weights(grid)
     sw = _space_weights_by_meshgrid(region, grid)
-    f = make_source(source, grid).field
+    source_at = _source_reader(source, grid)
+    whole = (slice(None),) * grid.n
     psi_t = _time_derivative(psi.values, grid.dt)
     ends = [float(np.sum(u.values[j] * psi.values[j] * sw)) for j in (idx[-1], idx[0])]
     boundary_term = float(np.sum(u.values[idx[-1]] * psi.values[idx[-1]] * sw)
                           - np.sum(u.values[idx[0]] * psi.values[idx[0]] * sw))
     bulk, scale = 0.0, abs(ends[0]) + abs(ends[1])
     for j, w_t in zip(idx, tw):
+        f_j = source_at((j,) + whole)
         gu, gpsi = _gradient_by_slices(u, j), _gradient_by_slices(psi, j)
         gmag = np.sqrt(np.sum(gu * gu, axis=0))
         flux_dot = np.sum(gu * gpsi, axis=0) * np.where(gmag > 0, gmag, 1.0) ** (p - 2.0)
-        integrand = -u.values[j] * psi_t[j] + flux_dot - f.values[j] * psi.values[j]
+        integrand = -u.values[j] * psi_t[j] + flux_dot - f_j * psi.values[j]
         bulk += w_t * float(np.sum(integrand * sw))
         scale += w_t * float(np.sum((np.abs(u.values[j] * psi_t[j]) + np.abs(flux_dot)
-                                     + np.abs(f.values[j] * psi.values[j])) * sw))
+                                     + np.abs(f_j * psi.values[j])) * sw))
     return boundary_term + bulk, scale
 
 

@@ -40,6 +40,7 @@ from plaplab.solver import (
     _fast_diagonal_preconditioner,
     _pcg,
     _shifted,
+    _source_factors,
     _source_reader,
     _StepOperator,
     _tridiag_factor,
@@ -90,8 +91,9 @@ def test_separable_power_norm_against_fine_grid():
 def test_tabulated_source_round_trip():
     g = grid1d(h=1 / 16, dt=1 / 64, t_end=0.25)
     table = GridFunction.from_callable(g, lambda x, t: np.cos(x) * (1 + t))
-    src = make_source(SourceSpec(kind="tabulated", table=table, q=2.0, r=3.0), g)
-    assert np.array_equal(src.field.values, table.values)
+    spec = SourceSpec(kind="tabulated", table=table, q=2.0, r=3.0)
+    src = make_source(spec, g)
+    assert np.array_equal(_source_reader(spec, g)((slice(None), slice(None))), table.values)
     region = full_domain_region(g)
     assert src.norm_qr == pytest.approx(anisotropic_norm(table, 2.0, 3.0, region), rel=1e-12)
     other = grid1d(h=1 / 8, dt=1 / 64, t_end=0.25)
@@ -106,6 +108,50 @@ def test_time_power_norm_matches_closed_form():
     src = make_source(SourceSpec(kind="separable_power", a=0.0, b=b, q=q, r=r), g)
     exact = 2.0 ** (1 / q) * (1.0 / (1.0 - b * r)) ** (1 / r)
     assert src.norm_qr == pytest.approx(exact, rel=0.02)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["zero", "constant", "separable_power"])
+def test_source_norm_from_its_factors_is_the_norm_of_its_field(kind, n):
+    # the full-domain quadrature has product weights, so make_source takes
+    # ||T||_r * ||S||_q; against the norm of the product field, singular
+    # cells at the origin and at t = 0 included
+    h = {1: 1 / 16, 2: 1 / 8, 3: 1 / 4}[n]
+    g = SpaceTimeGrid(n=n, extent=1.0, h=h, dt=1 / 64, t_start=0.0, t_end=8 / 64)
+    for q in (2.0, 3.5, np.inf):
+        for r in (1.0, 4.0, np.inf):
+            a = 0.0 if np.isinf(q) else 0.5 * n / q
+            b = 0.0 if np.isinf(r) else 0.2
+            spec = SourceSpec(kind=kind, c=-0.7, a=a, b=b, amplitude=1.3, q=q, r=r)
+            if kind == "separable_power":
+                at, space = _source_factors(spec, g)
+                values = at[(Ellipsis,) + (None,) * n] * space[None]
+            else:
+                values = np.full(g.shape, spec.c if kind == "constant" else 0.0)
+            want = anisotropic_norm(GridFunction(g, values), q, r, full_domain_region(g))
+            assert make_source(spec, g).norm_qr == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_source_norm_builds_no_source_field():
+    # a time factor and a few spatial arrays, against a field of 257 slices
+    g = SpaceTimeGrid(n=2, extent=1.0, h=1 / 32, dt=1 / 1024, t_start=0.0, t_end=256 / 1024)
+    field = 8 * g.num_times * g.nodes_per_axis**2
+    power = SourceSpec(kind="separable_power", a=0.2, b=0.2, q=8.0, r=4.0)
+    assert _peak_bytes(lambda: make_source(power, g)) < 0.1 * field
+
+
+@pytest.mark.parametrize("name", ["c", "a", "b", "amplitude"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_source_value_is_a_value_error_before_any_step(monkeypatch, name, bad):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(solver_module, "_StepOperator", no_step)
+    g = grid1d(h=1 / 16, dt=1 / 256, t_end=0.05)
+    kind = "constant" if name == "c" else "separable_power"
+    with pytest.raises(ValueError, match=f"^{name} = "):
+        solve(g, SolveConfig(p=3.0), SourceSpec(kind=kind, q=4.0, r=4.0, **{name: bad}),
+              np.zeros(g.spatial_shape))
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +307,13 @@ def test_separable_power_reader_is_its_field_bit_for_bit(n):
     h = {1: 1 / 16, 2: 1 / 8, 3: 1 / 4}[n]
     g = SpaceTimeGrid(n=n, extent=1.0, h=h, dt=1 / 64, t_start=0.0, t_end=8 / 64)
     spec = SourceSpec(kind="separable_power", a=0.4, b=0.3, amplitude=1.7, q=2.0, r=3.0)
-    values = solver_module._source_field(spec, g).values
+    at, space = _source_factors(spec, g)
+    values = at[(Ellipsis,) + (None,) * n] * space[None]  # the whole product field
     read = _source_reader(spec, g)
-    inner = (Ellipsis,) + (slice(1, -1),) * n
-    for j in (0, 3, slice(0, 4), slice(2, 9)):
-        got, want = read(j), values[j][inner]
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for box in ((slice(1, -1),) * n, (slice(0, 3),) + (slice(2, None),) * (n - 1)):
+        for j in (0, 3, slice(0, 4), slice(2, 9)):
+            got, want = read((j,) + box), values[(j,) + box]
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -461,7 +508,7 @@ def _march_tridiagonal_reference(grid, config, source, initial):
             c = op.couplings[0]
             levels = _tridiag_factor(op.diag, -c[1:-1])
         b = config.boundary.evaluate(grid, times[m], p)
-        rhs = u[1:-1] + dt * source_at(m)
+        rhs = u[1:-1] + dt * source_at((m, slice(1, -1)))
         rhs[0] += c[0] * b[0]
         rhs[-1] += c[-1] * b[-1]
         w = _tridiag_solve(levels, rhs)
@@ -512,7 +559,7 @@ def _march_pcg_reference(grid, config, source, initial):
     precond = _fast_diagonal_preconditioner(op, _dst_basis(grid.nodes_per_axis - 2))
     for m in range(1, len(times)):
         out[m] = config.boundary.evaluate(grid, times[m], 2.0)
-        rhs = out[m - 1][inner] + dt * source_at(m)
+        rhs = out[m - 1][inner] + dt * source_at((m,) + inner)
         op.add_boundary(rhs, out[m])
         x, _ = _pcg(op.apply, rhs, out[m - 1][inner].copy(), precond, 1e-13, 20)
         out[m][inner] = x
@@ -733,7 +780,7 @@ def test_semi_discrete_residual_matches_one_batched_build(n, h, extent):
         want = np.zeros(g.shape)
         want[1:-1][space] = (v[2:][space] - v[:-2][space]) / (2.0 * g.dt) - op.flux(v[1:-1])
         if source is not None:
-            want[1:-1][space] -= make_source(source, g).field.values[1:-1][space]
+            want[1:-1][space] -= _source_reader(source, g)((slice(1, -1),) + space[1:])
         assert np.array_equal(semi_discrete_residual(u, 3.0, source, eps).values, want)
 
 
@@ -761,13 +808,11 @@ def _peak_bytes(fn):
 
 
 def test_fresh_fields_are_adopted_not_copied():
-    # solve, the reference fields and the power-law source own their result
-    # arrays, so the peak is one field plus a step's workspace
+    # solve and the reference fields own their result arrays, so the peak is
+    # one field plus a step's workspace
     g = SpaceTimeGrid(n=2, extent=1.0, h=1 / 32, dt=1 / 1024, t_start=0.0, t_end=64 / 1024)
     field = 8 * g.num_times * g.nodes_per_axis**2
     assert _peak_bytes(lambda: reference_solutions("heat_mode", 2.0, 2, g)) < 1.5 * field
-    power = SourceSpec(kind="separable_power", a=0.2, b=0.2, q=8.0, r=4.0)
-    assert _peak_bytes(lambda: solver_module._separable_power_field(power, g)) < 1.5 * field
     start = reference_solutions("heat_mode", 2.0, 2, g).values[0].copy()
     for p in (2.0, 3.0):
         config = SolveConfig(p=p, boundary=BoundarySpec(kind="zero"))
@@ -836,6 +881,17 @@ def test_weak_residual_of_solver_output_small():
     psi = bump_battery(g, region, powers=(3,), scales=(0.75,))[0]
     r = abs(weak_residual(u, SourceSpec(kind="zero"), psi, region, p=2.0))
     assert r <= 10.0 * truncation_estimate(u)
+
+
+def test_weak_residual_reads_the_source_on_its_block_only():
+    # a separable source is read on the region's block, not built on the grid
+    g = SpaceTimeGrid(n=2, extent=1.0, h=1 / 32, dt=1 / 1024, t_start=0.0, t_end=256 / 1024)
+    field = 8 * g.num_times * g.nodes_per_axis**2
+    u = reference_solutions("heat_mode", 2.0, 2, g)
+    region = Region(center=(0.25, 0.0), radius=0.2, t_start=0.1, t_end=0.15)
+    psi = make_cutoff(g, region)
+    source = SourceSpec(kind="separable_power", a=0.3, b=0.2, q=4.0, r=4.0)
+    assert _peak_bytes(lambda: weak_residual(u, source, psi, region, p=2.0)) < field
 
 
 def test_weak_residual_rejects_noncompact_psi():
