@@ -75,6 +75,16 @@ def _num(block: dict, key: str, path: str, default=_REQUIRED, integer=False):
     return int(val) if integer else val
 
 
+def _object(block: dict, key: str, path: str, default=None):
+    """The object block[key] of the block at path, or default when absent."""
+    if key not in block:
+        return default
+    val = block[key]
+    if not isinstance(val, dict):
+        raise ConfigError(path, f"expected an object, got {type(val).__name__}")
+    return val
+
+
 @contextlib.contextmanager
 def _block_errors(path: str):
     """Raise a ValueError from building the block at path as a ConfigError
@@ -121,8 +131,8 @@ def load_config(path) -> ExperimentConfig:
 
     scenario = raw.get("scenario", "unnamed")
     params = None
-    if "params" in raw:
-        blk = raw["params"]
+    blk = _object(raw, "params", "params")
+    if blk is not None:
         with _block_errors("params"):
             params = ProblemParams(
                 p=_num(blk, "p", "params"),
@@ -133,8 +143,8 @@ def load_config(path) -> ExperimentConfig:
             )
 
     grid = None
-    if "grid" in raw:
-        blk = raw["grid"]
+    blk = _object(raw, "grid", "grid")
+    if blk is not None:
         with _block_errors("grid"):
             grid = SpaceTimeGrid(
                 n=_num(blk, "n", "grid", default=params.n if params else 1, integer=True),
@@ -147,20 +157,24 @@ def load_config(path) -> ExperimentConfig:
 
     solve_config = None
     initial_kind, initial_value = "zero", 0.0
-    if "solve" in raw:
-        blk = raw["solve"]
-        bblk = blk.get("boundary", {"kind": "zero"})
+    blk = _object(raw, "solve", "solve")
+    if blk is not None:
+        bblk = _object(blk, "boundary", "solve.boundary", {})
         kind = bblk.get("kind", "zero")
         if kind not in ("zero", "constant", "affine", "reference"):
             raise ConfigError("solve.boundary.kind", f"unsupported kind {kind!r}")
         gradient = bblk.get("gradient", [])
         if not isinstance(gradient, list):
             raise ConfigError("solve.boundary.gradient", "expected a list of numbers")
+        gradient = tuple(_number(g, f"solve.boundary.gradient[{i}]")
+                         for i, g in enumerate(gradient))
+        if grid is not None and len(gradient) not in (0, grid.n):
+            raise ConfigError("solve.boundary.gradient", f"expected one number per axis "
+                              f"of the {grid.n}D grid, got {len(gradient)}")
         boundary = BoundarySpec(
             kind=kind,
             value=_num(bblk, "value", "solve.boundary", default=0.0),
-            gradient=tuple(_number(g, f"solve.boundary.gradient[{i}]")
-                           for i, g in enumerate(gradient)),
+            gradient=gradient,
             name=bblk.get("name", ""),
         )
         with _block_errors("solve"):
@@ -172,15 +186,15 @@ def load_config(path) -> ExperimentConfig:
                 max_inner_iters=_num(blk, "max_inner_iters", "solve", default=500, integer=True),
                 boundary=boundary,
             )
-        init = blk.get("initial", {"kind": "zero"})
+        init = _object(blk, "initial", "solve.initial", {})
         initial_kind = init.get("kind", "zero")
         if initial_kind not in ("zero", "constant", "eigenmode", "boundary"):
             raise ConfigError("solve.initial.kind", f"unsupported kind {initial_kind!r}")
         initial_value = _num(init, "value", "solve.initial", default=0.0)
 
     source = None
-    if "source" in raw:
-        blk = raw["source"]
+    blk = _object(raw, "source", "source")
+    if blk is not None:
         kind = blk.get("kind", "zero")
         if kind not in ("zero", "constant", "separable_power"):
             raise ConfigError("source.kind", f"unsupported kind {kind!r}")
@@ -195,6 +209,9 @@ def load_config(path) -> ExperimentConfig:
                 r=_num(blk, "r", "source", default=params.r if params else math.inf),
             )
 
+    output_dir = raw.get("output_dir", "out")
+    if not isinstance(output_dir, str):
+        raise ConfigError("output_dir", f"expected a string, got {type(output_dir).__name__}")
     return ExperimentConfig(
         scenario=scenario,
         raw=raw,
@@ -202,11 +219,11 @@ def load_config(path) -> ExperimentConfig:
         grid=grid,
         solve_config=solve_config,
         source=source,
-        probe_block=raw.get("probe"),
-        region_block=raw.get("region"),
+        probe_block=_object(raw, "probe", "probe"),
+        region_block=_object(raw, "region", "region"),
         initial_kind=initial_kind,
         initial_value=initial_value,
-        output_dir=raw.get("output_dir", "out"),
+        output_dir=output_dir,
         seed=_num(raw, "seed", "", default=0, integer=True),
         sha256=config_digest(raw),
     )
@@ -341,8 +358,14 @@ def _probe_centers(cfg: ExperimentConfig, u: GridFunction, params, lam: float) -
     blk = cfg.probe_block or {}
     grid = u.grid
     if blk.get("centers"):  # each [x_1, ..., x_n, t]
-        rows = [[_number(v, f"probe.centers[{i}][{k}]") for k, v in enumerate(c)]
-                for i, c in enumerate(blk["centers"])]
+        if not isinstance(blk["centers"], list):
+            raise ConfigError("probe.centers", "expected a list of centers")
+        rows = []
+        for i, c in enumerate(blk["centers"]):
+            if not (isinstance(c, list) and len(c) == grid.n + 1):
+                raise ConfigError(f"probe.centers[{i}]", f"expected a list of {grid.n + 1} "
+                                  f"numbers [x_1, ..., x_{grid.n}, t]")
+            rows.append([_number(v, f"probe.centers[{i}][{k}]") for k, v in enumerate(c)])
         return [(tuple(row[:-1]), row[-1]) for row in rows]
     rule = blk.get("center_rule", "critical_extrema")
     if rule != "critical_extrema":

@@ -19,7 +19,6 @@ functions; unrestricted concurrency is safe.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -60,19 +59,6 @@ class Cylinder:
             t_start=self.center_t - self.depth,
             t_end=self.center_t,
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "center_x": list(self.center_x),
-            "center_t": self.center_t,
-            "rho": self.rho,
-            "theta_eff": self.theta_eff,
-            "depth": self.depth,
-            "theta": self.theta,
-            "sigma": self.sigma,
-            "k": self.k,
-            "corrected": self.corrected,
-        }
 
 
 def intrinsic_cylinder(center, rho: float, params: ProblemParams, grad_mag: float) -> Cylinder:
@@ -142,17 +128,6 @@ class ZoneClassification:
     mask: np.ndarray
     fraction: float
     node_count: int
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "threshold": self.threshold,
-                "fraction": self.fraction,
-                "node_count": self.node_count,
-                "critical_count": int(self.mask.sum()),
-            },
-            sort_keys=True,
-        )
 
 
 def critical_zone(u: GridFunction, rho: float, alpha: float, region: Region) -> ZoneClassification:

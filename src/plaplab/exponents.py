@@ -401,20 +401,15 @@ class RegionScan:
     holder_curve: tuple[tuple[float, float], ...]
     lower_curve: tuple[tuple[float, float], ...] = ()
 
-    def to_csv(self, path_or_buf) -> None:
+    def to_csv(self, path) -> None:
         """One row per sample: q, r, n_over_q_plus_2_over_r, admissible, violation."""
-        own = isinstance(path_or_buf, (str,)) or hasattr(path_or_buf, "__fspath__")
-        buf = open(path_or_buf, "w", newline="") if own else path_or_buf
-        try:
-            writer = csv.writer(buf)
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
             writer.writerow(["q", "r", "n_over_q_plus_2_over_r", "admissible", "violation"])
             for smp in self.samples:
                 writer.writerow(
                     [repr(smp.q), repr(smp.r), repr(smp.band), int(smp.admissible), smp.violation]
                 )
-        finally:
-            if own:
-                buf.close()
 
 
 def admissible_region(

@@ -8,8 +8,9 @@ numpy-only: a point query weights the 2^(n+1) nodes of its cell, and a
 bulk resampling onto a tensor-product grid (see `locate_on_axis`)
 interpolates along one axis at a time. Region reductions read a region's
 nodes as one cropped (time, box) block (`Region.block`) and reduce it over
-axes. Grid functions are immutable after construction, and every operation
-here is pure in its results. The one piece of state is a grid function's
+axes; every region integral takes its weights from `Region.quadrature`.
+Grid functions are immutable after construction, and every operation here
+is pure in its results. The one piece of state is a grid function's
 private memo of what the probe computes at its most recent center: the
 cylinder blocks `sup_oscillation` reduced, the point value and gradient,
 and the noise floor (see `GridFunction`). It changes only how often they
@@ -331,31 +332,35 @@ class Region:
         out[box] = mask
         return out
 
-    def space_weights(self, grid: SpaceTimeGrid) -> np.ndarray:
-        """Quadrature weights (cell measures clipped to the region), zero off the block's box.
+    def quadrature(self, grid: SpaceTimeGrid) -> tuple[RegionBlock, np.ndarray, np.ndarray]:
+        """(block, tw, sw): the region's block with the weights of every
+        region integral, trapezoid in time and cell overlaps in space.
 
+        tw holds the trapezoid weights of block.times, or dt for a single
+        slice. sw holds the cell measures clipped to the region on block.box.
         Boxes (any n) and 1D balls use exact per-axis cell overlaps, which
         keeps the composite midpoint rule second order up to the region
         boundary. 2D balls use exact disk-cell overlap areas on the rim;
         3D balls fall back to counting interior nodes.
         """
         h = grid.h
-        box, mask, offsets = self._space_block(grid, False)
+        blk = self.block(grid)
+        tw = np.full(blk.times.stop - blk.times.start, grid.dt)
+        if tw.size >= 2:
+            tw[0] = tw[-1] = grid.dt / 2
         if self.half_widths is not None or grid.n == 1:
             widths = self.half_widths if self.half_widths is not None else (self.radius,)
             axis, axis_w = grid.axis_nodes(), []
-            for b, c, w in zip(box, self.center, widths):
+            for b, c, w in zip(blk.box, self.center, widths):
                 ax = axis[b]
                 ov = np.minimum(c + w, ax + h / 2) - np.maximum(c - w, ax - h / 2)
                 axis_w.append(np.clip(ov, 0.0, h))
-            weights = functools.reduce(np.multiply.outer, axis_w)
+            sw = functools.reduce(np.multiply.outer, axis_w)
         elif grid.n == 2:
-            weights = _disk_weights_2d(*offsets, h, self.radius)
+            sw = _disk_weights_2d(*blk.offsets, h, self.radius)
         else:  # 3D ball: interior-node counting
-            weights = np.where(mask, h**grid.n, 0.0)
-        out = np.zeros(grid.spatial_shape)
-        out[box] = weights
-        return out
+            sw = np.where(blk.mask, h**grid.n, 0.0)
+        return blk, tw, sw
 
     def time_indices(self, grid: SpaceTimeGrid) -> np.ndarray:
         ts = grid.times()
@@ -364,15 +369,6 @@ class Region:
         if idx.size == 0:
             raise ValueError("region contains no time slices")
         return idx
-
-    def time_weights(self, grid: SpaceTimeGrid) -> tuple[np.ndarray, np.ndarray]:
-        """(slice indices, trapezoid weights). Single-slice regions get weight dt."""
-        idx = self.time_indices(grid)
-        w = np.full(idx.size, grid.dt)
-        if idx.size >= 2:
-            w[0] = grid.dt / 2
-            w[-1] = grid.dt / 2
-        return idx, w
 
     def contains_point(self, x, t: float, grid: SpaceTimeGrid) -> bool:
         if not (self.t_start - grid.dt / 2 < t <= self.t_end + grid.dt * 1e-9):
@@ -410,49 +406,54 @@ def full_domain_region(grid: SpaceTimeGrid) -> Region:
     )
 
 
+def _weighted_norm(values, weights: np.ndarray, s: float) -> float:
+    """(sum |values|^s weights)^(1/s), or max |values| for s = inf; values
+    is an array or a scalar broadcast against the weights."""
+    if np.isinf(s):
+        return float(np.max(np.abs(values)))
+    return float(np.sum(np.abs(values) ** s * weights) ** (1.0 / s))
+
+
+def _integral(vals: np.ndarray, tw: np.ndarray, sw: np.ndarray) -> float:
+    """The space-time integral of a (time, box) block by the region's
+    quadrature weights (Region.quadrature)."""
+    return float(tw @ np.sum(vals * sw, axis=tuple(range(1, vals.ndim))))
+
+
 def anisotropic_norm(f: GridFunction, q: float, r: float, region: Region) -> float:
     """Iterated norm: L^q in space inside, L^r in time outside.
 
     q = inf or r = inf replace the corresponding integral by a max over
-    nodes / slices. Spatial integrals use the region's quadrature weights,
-    temporal ones the trapezoid rule over the included slices.
+    nodes / slices. The integrals use the region's quadrature weights.
     """
     if q < 1.0 or r < 1.0:
         raise ValueError("q and r must lie in [1, inf]")
-    grid = f.grid
-    blk = region.block(grid)
-    _, tw = region.time_weights(grid)
-    space = tuple(range(1, grid.n + 1))
+    blk, tw, sw = region.quadrature(f.grid)
+    space = tuple(range(1, f.grid.n + 1))
     if np.isinf(q):
         if not blk.mask.any():
             raise ValueError("region contains no spatial nodes")
         slice_vals = masked_abs_max(f.values[blk.index], blk.mask, axis=space)
     else:
-        sw = region.space_weights(grid)[blk.box]
         if not (sw > 0).any():
             raise ValueError("region contains no spatial nodes")
         vals = np.abs(f.values[blk.index])  # the one block-sized temporary
         vals **= q
         vals *= sw
         slice_vals = np.sum(vals, axis=space) ** (1.0 / q)
-    if np.isinf(r):
-        return float(np.max(slice_vals))
-    return float(np.sum(slice_vals**r * tw) ** (1.0 / r))
+    return _weighted_norm(slice_vals, tw, r)
 
 
 def energy_norm(u: GridFunction, p: float, region: Region) -> float:
     """max-over-slices spatial L2 plus the space-time L^p norm of the gradient."""
-    grid = u.grid
-    blk = region.block(grid)
-    _, tw = region.time_weights(grid)
-    sw = region.space_weights(grid)[blk.box]
+    blk, tw, sw = region.quadrature(u.grid)
     if not (sw > 0).any():
         raise ValueError("region contains no spatial nodes")
-    space = tuple(range(1, grid.n + 1))
+    space = tuple(range(1, u.grid.n + 1))
     sup_l2 = float(np.max(np.sum(u.values[blk.index] ** 2 * sw, axis=space) ** 0.5))
     g = u.gradient_on(blk.index)
     gmag = np.sqrt(np.sum(g * g, axis=0))
-    return sup_l2 + float(tw @ np.sum(gmag**p * sw, axis=space)) ** (1.0 / p)
+    return sup_l2 + _integral(gmag**p, tw, sw) ** (1.0 / p)
 
 
 def _at_center(u: GridFunction, x0: np.ndarray, t0: float, key, build):

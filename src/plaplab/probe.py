@@ -76,31 +76,26 @@ class OscillationProfile:
                          repr(b.thm_bound) if b else "", repr(b.ratio) if b else ""])
         return rows
 
-    def to_csv(self, path_or_buf, bounds: "DyadicReport | None" = None) -> None:
+    def to_csv(self, path, bounds: "DyadicReport | None" = None) -> None:
         """The csv_rows under their header."""
-        _write_csv(path_or_buf, PROFILE_COLUMNS, self.csv_rows(bounds))
+        _write_csv(path, PROFILE_COLUMNS, self.csv_rows(bounds))
 
 
 PROFILE_COLUMNS = ["k", "rho", "theta_k", "S_k", "bound_k", "ratio"]
 
 
-def profiles_to_csv(path_or_buf, profiles) -> None:
+def profiles_to_csv(path, profiles) -> None:
     """Every center's csv_rows, each led by its center id, the index of its
     (profile, bounds) pair in profiles."""
-    _write_csv(path_or_buf, ["center", *PROFILE_COLUMNS],
+    _write_csv(path, ["center", *PROFILE_COLUMNS],
                [[i, *row] for i, (prof, bounds) in enumerate(profiles) for row in prof.csv_rows(bounds)])
 
 
-def _write_csv(path_or_buf, header: list, rows: list) -> None:
-    own = isinstance(path_or_buf, str) or hasattr(path_or_buf, "__fspath__")
-    buf = open(path_or_buf, "w", newline="") if own else path_or_buf
-    try:
-        writer = csv.writer(buf)
+def _write_csv(path, header: list, rows: list) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-    finally:
-        if own:
-            buf.close()
 
 
 def _count_axis_nodes(radius: float, h: float) -> int:
@@ -225,8 +220,9 @@ class ExponentFit:
     k_range: tuple[int, int]
 
 
-def fit_exponent(profile: OscillationProfile, use_realized_radius: bool = True) -> ExponentFit | None:
-    """Least-squares growth exponent of log S_k against log rho_k.
+def fit_exponent(profile: OscillationProfile) -> ExponentFit | None:
+    """Least-squares growth exponent of log S_k against the log of the
+    realized radius rho_eff of each level.
 
     Entries at or below the noise floor are dropped; None is returned when
     fewer than 3 usable levels remain (constants and exactly affine fields
@@ -235,7 +231,7 @@ def fit_exponent(profile: OscillationProfile, use_realized_radius: bool = True) 
     usable = [e for e in profile.entries if e.sup_osc > profile.noise_floor]
     if len(usable) < 3:
         return None
-    xs = np.log([e.rho_eff if use_realized_radius else e.rho for e in usable])
+    xs = np.log([e.rho_eff for e in usable])
     ys = np.log([e.sup_osc for e in usable])
     A = np.stack([xs, np.ones_like(xs)], axis=1)
     coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
@@ -334,7 +330,6 @@ def check_pointwise_c1alpha(
     lam: float,
     K: int,
     slope_tol: float = 0.1,
-    f: GridFunction | None = None,
 ) -> PointwiseReport:
     """Pointwise growth check at a center, inside or outside the critical zone.
 
@@ -392,8 +387,7 @@ def check_pointwise_c1alpha(
             m_case1 = max(
                 m_case1, e.sup_osc / (e.rho ** (1.0 + alpha) * (1.0 + gmag * tau ** (-alpha)))
             )
-    rescaled = rescale_outside(u, (x0, t0), params, f=f)
-    v = rescaled.v
+    v = rescale_outside(u, (x0, t0), params).v
     rfit = None
     notes = "non-critical center, gradient-scale split"
     try:

@@ -35,6 +35,8 @@ from .grids import (
     Region,
     RegionBlock,
     SpaceTimeGrid,
+    _integral,
+    _weighted_norm,
     anisotropic_norm,
     full_domain_region,
     initial_slice_mean_power,
@@ -58,19 +60,18 @@ class BoundarySpec:
     """Dirichlet data descriptor.
 
     kinds: "zero", "constant" (value), "affine" (value + gradient . x,
-    constant in time), "reference" (named manufactured solution, see
-    reference_solutions), "custom" (fn(*xmesh, t) -> array).
+    constant in time; gradient holds n components, or none for a constant),
+    "reference" (named manufactured solution, see reference_solutions).
     """
 
     kind: str = "zero"
     value: float = 0.0
     gradient: tuple[float, ...] = ()
     name: str = ""
-    fn: object = None
 
     @property
     def time_dependent(self) -> bool:
-        return self.kind in ("reference", "custom")
+        return self.kind == "reference"
 
     def evaluate(self, grid: SpaceTimeGrid, t: float, p: float | None = None) -> np.ndarray:
         """Boundary values on every node of the slice at time t; p selects the
@@ -80,6 +81,9 @@ class BoundarySpec:
         if self.kind == "constant":
             return np.full(grid.spatial_shape, float(self.value))
         if self.kind == "affine":
+            if len(self.gradient) not in (0, grid.n):
+                raise ValueError(f"affine gradient has {len(self.gradient)} components, "
+                                 f"the grid has {grid.n} axes")
             grad = self.gradient or (0.0,) * grid.n
             out = np.full(grid.spatial_shape, float(self.value))
             for g, m in zip(grad, grid.meshgrid()):
@@ -87,8 +91,6 @@ class BoundarySpec:
             return out
         if self.kind == "reference":
             return reference_slice(self.name, grid, t, p)
-        if self.kind == "custom":
-            return np.asarray(self.fn(*grid.meshgrid(), t), dtype=float)
         raise ValueError(f"unknown boundary kind {self.kind!r}")
 
 
@@ -185,17 +187,8 @@ def make_source(spec: SourceSpec, grid: SpaceTimeGrid) -> SourceField:
     if spec.kind == "tabulated":
         return SourceField(anisotropic_norm(_table(spec, grid), spec.q, spec.r, region), spec)
     at, space = _source_factors(spec, grid)
-    _, tw = region.time_weights(grid)
-    sw = region.space_weights(grid)
+    _, tw, sw = region.quadrature(grid)  # the whole domain: sw covers every node
     return SourceField(_weighted_norm(at, tw, spec.r) * _weighted_norm(space, sw, spec.q), spec)
-
-
-def _weighted_norm(values, weights: np.ndarray, s: float) -> float:
-    """(sum |values|^s weights)^(1/s), or max |values| for s = inf; values
-    is an array or a scalar broadcast against the weights."""
-    if np.isinf(s):
-        return float(np.max(np.abs(values)))
-    return float(np.sum(np.abs(values) ** s * weights) ** (1.0 / s))
 
 
 def _table(spec: SourceSpec, grid: SpaceTimeGrid) -> GridFunction:
@@ -782,13 +775,10 @@ def weak_residual(u: GridFunction, source: SourceSpec, psi: GridFunction,
     grid = u.grid
     if psi.grid != grid:
         raise ValueError("psi must live on the solution grid")
-    blk = region.block(grid)
-    _, tw = region.time_weights(grid)
-    sw = region.space_weights(grid)[blk.box]
+    blk, tw, sw = region.quadrature(grid)
     _check_compact_support(psi, region, blk)
     fv = _source_reader(source, grid)(blk.index)
 
-    space = tuple(range(1, grid.n + 1))
     uv, pv = u.values[blk.index], psi.values[blk.index]
     psi_t = _time_derivative(psi.values[(slice(None),) + blk.box], grid.dt)[blk.times]
     boundary_term = float(np.sum(uv[-1] * pv[-1] * sw) - np.sum(uv[0] * pv[0] * sw))
@@ -796,7 +786,7 @@ def weak_residual(u: GridFunction, source: SourceSpec, psi: GridFunction,
     gmag = np.sqrt(np.sum(gu * gu, axis=0))
     flux_dot = np.sum(gu * gpsi, axis=0) * np.where(gmag > 0, gmag, 1.0) ** (p - 2.0)
     integrand = -uv * psi_t + flux_dot - fv * pv
-    return boundary_term + float(tw @ np.sum(integrand * sw, axis=space))
+    return boundary_term + _integral(integrand, tw, sw)
 
 
 def _rim(mask: np.ndarray) -> np.ndarray:
@@ -897,25 +887,18 @@ def caccioppoli_gap(u: GridFunction, source: SourceSpec, cutoff: GridFunction,
     xi = cutoff.values
     if xi.min() < -1e-12 or xi.max() > 1.0 + 1e-12:
         raise ValueError("cutoff values must lie in [0, 1]")
-    blk = region.block(grid)
-    _, tw = region.time_weights(grid)
-    sw = region.space_weights(grid)[blk.box]
+    blk, tw, sw = region.quadrature(grid)
     f_norm = make_source(source, grid).norm_qr
     xi_t = _time_derivative(xi[(slice(None),) + blk.box], grid.dt)[blk.times]
 
-    space = tuple(range(1, grid.n + 1))
-
-    def integral(vals):
-        return float(tw @ np.sum(vals * sw, axis=space))
-
     uj, xj = u.values[blk.index], xi[blk.index]
-    sup_term = float(np.max(np.sum(uj * uj * xj**p * sw, axis=space)))
+    sup_term = float(np.max(np.sum(uj * uj * xj**p * sw, axis=tuple(range(1, grid.n + 1)))))
     gu, gxi = u.gradient_on(blk.index), cutoff.gradient_on(blk.index)
     gu_mag = np.sqrt(np.sum(gu * gu, axis=0))
     gxi_mag = np.sqrt(np.sum(gxi * gxi, axis=0))
-    grad_term = integral(gu_mag**p * xj**p)
-    rhs_bulk = integral(np.abs(uj) ** p * (xj**p + gxi_mag**p))
-    rhs_time = integral(uj * uj * xj ** (p - 1.0) * np.abs(xi_t))
+    grad_term = _integral(gu_mag**p * xj**p, tw, sw)
+    rhs_bulk = _integral(np.abs(uj) ** p * (xj**p + gxi_mag**p), tw, sw)
+    rhs_time = _integral(uj * uj * xj ** (p - 1.0) * np.abs(xi_t), tw, sw)
     lhs = sup_term + grad_term
     rhs = rhs_bulk + c_fit * rhs_time + c_fit * f_norm
     return lhs, rhs

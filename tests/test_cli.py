@@ -341,11 +341,22 @@ BAD_FIELDS = [
     ("solve", {}, "solve.newton_tol", -1.0, "solve: newton_tol"),
     ("solve", {}, "solve.max_inner_iters", 0, "solve: max_inner_iters"),
     ("solve", {}, "seed", True, "seed"),
+    ("solve", {}, "output_dir", 5, "output_dir: expected a string, got int"),
+    ("solve", {"solve": {"boundary": {"kind": "affine"}}}, "solve.boundary.gradient", [1.0, 2.0],
+     "solve.boundary.gradient: expected one number per axis of the 1D grid, got 2"),
+    # blocks that are not objects
+    ("solve", {}, "source", "zero", "source: expected an object, got str"),
+    ("solve", {}, "solve.boundary", "zero", "solve.boundary: expected an object, got str"),
+    ("solve", {}, "solve.initial", ["eigenmode"], "solve.initial: expected an object, got list"),
+    ("probe", {}, "probe", "x", "probe: expected an object, got str"),
     ("probe", {}, "probe.lambda", math.nan, "probe.lambda"),
     ("probe", {}, "probe.K", True, "probe.K"),
     ("probe", {}, "probe.K", 5.5, "probe.K"),
     ("probe", {"probe": {"centers": []}}, "probe.max_centers", "four", "probe.max_centers"),
     ("probe", {}, "probe.centers", [[0.0, math.nan]], "probe.centers[0][1]"),
+    ("probe", {}, "probe.centers", [[]], "probe.centers[0]: expected a list of 2 numbers"),
+    ("probe", {}, "probe.centers", [[0.0, 0.05], [5]], "probe.centers[1]: expected a list of 2 numbers"),
+    ("probe", {}, "probe.centers", 5, "probe.centers: expected a list of centers"),
     ("region", {}, "region.resolution", "abc", "region.resolution"),
 ]
 

@@ -201,10 +201,13 @@ def test_norm_infinite_exponents_take_sups():
     assert anisotropic_norm(f, np.inf, np.inf, region) == pytest.approx(2.0, rel=1e-12)
     # q = r collapses to the space-time norm
     got = anisotropic_norm(f, 2.0, 2.0, region)
-    idx, tw = region.time_weights(g)
-    sw = region.space_weights(g)
+    # the full domain: trapezoid weights in time, cell measures (halved at the edge) in space
+    tw = np.full(g.num_times, g.dt)
+    tw[[0, -1]] = g.dt / 2
+    sw = np.full(g.spatial_shape, g.h)
+    sw[[0, -1]] = g.h / 2
     direct = sum(
-        w * float(np.sum(f.values[j] ** 2 * sw)) for j, w in zip(idx, tw)
+        w * float(np.sum(f.values[j] ** 2 * sw)) for j, w in enumerate(tw)
     ) ** 0.5
     assert got == pytest.approx(direct, rel=1e-12)
 
@@ -260,10 +263,9 @@ def test_norm_mixed_infinite_exponents():
 def test_ball_weights_3d_counting():
     g = SpaceTimeGrid(n=3, extent=1.0, h=1 / 8, dt=0.5, t_start=0.0, t_end=1.0)
     region = Region(center=(0.0, 0.0, 0.0), radius=0.6, t_start=0.0, t_end=1.0)
-    w = region.space_weights(g)
-    mask = region.space_mask(g)
-    assert np.all(w[mask] == g.h**3)
-    assert np.all(w[~mask] == 0.0)
+    blk, _, w = region.quadrature(g)
+    assert np.all(w[blk.mask] == g.h**3)
+    assert np.all(w[~blk.mask] == 0.0)
     assert abs(np.sum(w) - 4.0 / 3.0 * np.pi * 0.6**3) < 0.1
 
 

@@ -114,9 +114,21 @@ def _gradient_at_by_stencil(u, x, t):
     return out
 
 
+def _time_weights_by_rule(region, grid):
+    """(slice indices, trapezoid weights): the slices t with
+    t_start - dt/2 < t <= t_end, weighted dt and dt/2 at both ends, or dt
+    alone for a single slice."""
+    idx = np.array([j for j, t in enumerate(grid.times())
+                    if region.t_start - grid.dt / 2 < t <= region.t_end + grid.dt * 1e-9])
+    tw = np.full(idx.size, grid.dt)
+    if idx.size >= 2:
+        tw[0] = tw[-1] = grid.dt / 2
+    return idx, tw
+
+
 def _anisotropic_norm_by_slices(f, q, r, region):
     grid = f.grid
-    idx, tw = region.time_weights(grid)
+    idx, tw = _time_weights_by_rule(region, grid)
     if np.isinf(q):
         sw = _space_mask_by_meshgrid(region, grid)
         slice_vals = np.array([np.max(np.abs(f.values[j][sw])) for j in idx])
@@ -129,7 +141,7 @@ def _anisotropic_norm_by_slices(f, q, r, region):
 
 
 def _energy_norm_by_slices(u, p, region):
-    idx, tw = region.time_weights(u.grid)
+    idx, tw = _time_weights_by_rule(region, u.grid)
     sw = _space_weights_by_meshgrid(region, u.grid)
     sup_l2 = grad_acc = 0.0
     for j, w_t in zip(idx, tw):
@@ -186,7 +198,7 @@ def _rim_by_roll(sw):
 def _weak_residual_by_slices(u, source, psi, region, p):
     """The defect, and the sum of the magnitudes of the terms it adds up."""
     grid = u.grid
-    idx, tw = region.time_weights(grid)
+    idx, tw = _time_weights_by_rule(region, grid)
     sw = _space_weights_by_meshgrid(region, grid)
     source_at = _source_reader(source, grid)
     whole = (slice(None),) * grid.n
@@ -210,7 +222,7 @@ def _weak_residual_by_slices(u, source, psi, region, p):
 def _caccioppoli_gap_by_slices(u, source, cutoff, region, p, c_fit):
     grid = u.grid
     xi = cutoff.values
-    idx, tw = region.time_weights(grid)
+    idx, tw = _time_weights_by_rule(region, grid)
     sw = _space_weights_by_meshgrid(region, grid)
     xi_t = _time_derivative(xi, grid.dt)
     sup_term = grad_term = rhs_bulk = rhs_time = 0.0
@@ -278,7 +290,13 @@ def test_region_block_reductions_match_the_per_slice_references(n, seed, ball, s
     # the block: mask, interior mask, offsets, weights and gradients
     mask = _space_mask_by_meshgrid(region, g)
     assert np.array_equal(region.space_mask(g), mask)
-    assert np.array_equal(region.space_weights(g), _space_weights_by_meshgrid(region, g))
+    blk, tw, sw = region.quadrature(g)
+    idx, want_tw = _time_weights_by_rule(region, g)
+    assert blk.times == slice(idx[0], idx[-1] + 1) and blk.box == region.block(g).box
+    assert np.array_equal(tw, want_tw)
+    full_sw = np.zeros(g.spatial_shape)
+    full_sw[blk.box] = sw
+    assert np.array_equal(full_sw, _space_weights_by_meshgrid(region, g))
     for interior in (False, True):
         blk = region.block(g, interior=interior)
         idx = region.time_indices(g)
@@ -315,7 +333,7 @@ def test_region_block_reductions_match_the_per_slice_references(n, seed, ball, s
         assert _interp_noise_floor(u, cyl) == _noise_floor_by_slices(u, region)
 
     # sum-type: within 1e-12 relative
-    if (region.space_weights(g) > 0).any():
+    if (sw > 0).any():
         for q, r in ((2.0, 2.0), (1.5, np.inf), (3.0, 1.0)):
             _close(anisotropic_norm(u, q, r, region), _anisotropic_norm_by_slices(u, q, r, region))
     for p in (1.5, 2.0, 3.0):
@@ -363,6 +381,33 @@ def test_weak_residual_of_a_solution_matches_the_reference_to_rounding_of_its_te
         want, scale = _weak_residual_by_slices(u, source, psi, region, p)
         assert abs(want) < 1e-3 * scale  # the cancellation is real
         assert abs(weak_residual(u, source, psi, region, p) - want) <= REL * scale
+
+
+@pytest.mark.parametrize("ball", [True, False])
+def test_each_region_integral_builds_the_space_block_once(monkeypatch, ball):
+    g = _grid(2)
+    u = GridFunction(g, np.random.default_rng(3).standard_normal(g.shape))
+    shape = {"radius": 0.6} if ball else {"half_widths": (0.6, 0.5)}
+    region = Region(center=(0.1, -0.1), t_start=0.125, t_end=0.375, **shape)
+    source = SourceSpec(kind="constant", c=0.3, q=4.0, r=4.0)
+    cutoff = make_cutoff(g, region, power=2)
+    built = []
+    space_block = Region._space_block
+    monkeypatch.setattr(Region, "_space_block",
+                        lambda self, *args: built.append(self) or space_block(self, *args))
+    calls = {
+        "anisotropic_norm, finite q": (lambda: anisotropic_norm(u, 2.0, 3.0, region), 1),
+        "anisotropic_norm, q = inf": (lambda: anisotropic_norm(u, np.inf, 3.0, region), 1),
+        "energy_norm": (lambda: energy_norm(u, 2.0, region), 1),
+        "weak_residual": (lambda: weak_residual(u, source, cutoff, region, 2.0), 1),
+        "make_source": (lambda: make_source(source, g), 1),
+        # its region's block and the whole domain's, for the source norm
+        "caccioppoli_gap": (lambda: caccioppoli_gap(u, source, cutoff, region, 2.0, 1.0), 2),
+    }
+    for name, (call, want) in calls.items():
+        built.clear()
+        call()
+        assert len(built) == want, name
 
 
 @pytest.mark.parametrize("n", [1, 2])

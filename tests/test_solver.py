@@ -176,6 +176,18 @@ def test_affine_fixed_point():
         assert float(np.max(np.abs(u.values - exact[None, :]))) < 1e-8
 
 
+def test_affine_gradient_needs_one_component_per_axis():
+    g = grid1d(h=1 / 16, dt=1 / 256, t_end=0.05)
+    with pytest.raises(ValueError, match="affine gradient has 2 components, the grid has 1 axes"):
+        BoundarySpec(kind="affine", gradient=(1.0, 2.0)).evaluate(g, 0.0)
+    cfg = SolveConfig(p=2.0, boundary=BoundarySpec(kind="affine", value=0.1, gradient=(1.0, 2.0)))
+    with pytest.raises(ValueError, match="affine gradient"):
+        solve(g, cfg, SourceSpec(kind="zero"), np.zeros(g.spatial_shape))
+    # no gradient is the constant value
+    assert np.array_equal(BoundarySpec(kind="affine", value=0.1).evaluate(g, 0.0),
+                          np.full(g.spatial_shape, 0.1))
+
+
 def test_affine_shift_invariance_on_affine_family():
     # adding an affine function to data shifts the zero-source solution exactly
     g = grid1d(h=1 / 16, dt=1 / 256, t_end=0.05)
