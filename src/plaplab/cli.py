@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -100,7 +101,6 @@ def _block_errors(path: str):
 @dataclass(frozen=True)
 class ExperimentConfig:
     scenario: str
-    raw: dict
     params: ProblemParams | None
     grid: SpaceTimeGrid | None
     solve_config: SolveConfig | None
@@ -171,11 +171,15 @@ def load_config(path) -> ExperimentConfig:
         if grid is not None and len(gradient) not in (0, grid.n):
             raise ConfigError("solve.boundary.gradient", f"expected one number per axis "
                               f"of the {grid.n}D grid, got {len(gradient)}")
+        name = bblk.get("name", "")
+        if kind == "reference" and name not in solver.REFERENCE_NAMES:
+            raise ConfigError("solve.boundary.name", f"unknown reference solution {name!r}, "
+                              f"expected one of {', '.join(solver.REFERENCE_NAMES)}")
         boundary = BoundarySpec(
             kind=kind,
             value=_num(bblk, "value", "solve.boundary", default=0.0),
             gradient=gradient,
-            name=bblk.get("name", ""),
+            name=name,
         )
         with _block_errors("solve"):
             solve_config = SolveConfig(
@@ -214,7 +218,6 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("output_dir", f"expected a string, got {type(output_dir).__name__}")
     return ExperimentConfig(
         scenario=scenario,
-        raw=raw,
         params=params,
         grid=grid,
         solve_config=solve_config,
@@ -258,6 +261,13 @@ def _sanitize(obj):
     if isinstance(obj, float) and math.isinf(obj):
         return "inf"
     return obj
+
+
+def _write_csv(path: Path, header: list, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_summary(out_dir: Path, payload: dict) -> Path:
@@ -313,7 +323,9 @@ def run_region(cfg: ExperimentConfig, out_dir: Path) -> dict:
         r_max=_num(blk, "r_max", "region", default=None),
     )
     out_dir.mkdir(parents=True, exist_ok=True)
-    scan.to_csv(out_dir / "region.csv")
+    rows = [[repr(s.q), repr(s.r), repr(s.band), int(s.admissible), s.violation] for s in scan.samples]
+    _write_csv(out_dir / "region.csv", ["q", "r", "n_over_q_plus_2_over_r", "admissible", "violation"],
+               rows)
     admissible_count = sum(1 for s in scan.samples if s.admissible)
     payload = {
         "scenario": cfg.scenario,
@@ -354,22 +366,25 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> dict:
     return payload
 
 
-def _probe_centers(cfg: ExperimentConfig, u: GridFunction, params, lam: float) -> list:
-    blk = cfg.probe_block or {}
+def _given_centers(blk: dict, n: int) -> list | None:
+    """The probe.centers list as (x, t) pairs, or None to pick centers by rule."""
+    if not blk.get("centers"):
+        return None
+    if not isinstance(blk["centers"], list):
+        raise ConfigError("probe.centers", "expected a list of centers")
+    label = "[" + ", ".join(f"x_{a}" for a in range(1, n + 1)) + ", t]"
+    rows = []
+    for i, c in enumerate(blk["centers"]):
+        if not (isinstance(c, list) and len(c) == n + 1):
+            raise ConfigError(f"probe.centers[{i}]", f"expected a list of {n + 1} numbers {label}")
+        rows.append([_number(v, f"probe.centers[{i}][{k}]") for k, v in enumerate(c)])
+    return [(tuple(row[:-1]), row[-1]) for row in rows]
+
+
+def _critical_extrema(u: GridFunction, params, lam: float, max_centers: int, seed: int) -> list:
+    """Local extrema of the last slice inside the critical zone, at most
+    max_centers of them, drawn with the seed when there are more."""
     grid = u.grid
-    if blk.get("centers"):  # each [x_1, ..., x_n, t]
-        if not isinstance(blk["centers"], list):
-            raise ConfigError("probe.centers", "expected a list of centers")
-        rows = []
-        for i, c in enumerate(blk["centers"]):
-            if not (isinstance(c, list) and len(c) == grid.n + 1):
-                raise ConfigError(f"probe.centers[{i}]", f"expected a list of {grid.n + 1} "
-                                  f"numbers [x_1, ..., x_{grid.n}, t]")
-            rows.append([_number(v, f"probe.centers[{i}][{k}]") for k, v in enumerate(c)])
-        return [(tuple(row[:-1]), row[-1]) for row in rows]
-    rule = blk.get("center_rule", "critical_extrema")
-    if rule != "critical_extrema":
-        raise ConfigError("probe.center_rule", f"unsupported rule {rule!r}")
     alpha = expo.sharp_exponents(params).alpha
     t0 = grid.t_end
     region = Region(
@@ -393,9 +408,8 @@ def _probe_centers(cfg: ExperimentConfig, u: GridFunction, params, lam: float) -
         if v0 >= max(neigh) or v0 <= min(neigh):
             x = tuple(float(-grid.extent + i * grid.h) for i in ix)
             cand.append((x, float(grid.t_end)))
-    max_centers = _num(blk, "max_centers", "probe", default=4, integer=True)
     if len(cand) > max_centers:
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(seed)
         keep = rng.choice(len(cand), size=max_centers, replace=False)
         cand = [cand[i] for i in sorted(keep)]
     return cand
@@ -405,15 +419,30 @@ def run_probe(cfg: ExperimentConfig, out_dir: Path) -> dict:
     params = _require(cfg, "params", "params")
     grid = _require(cfg, "grid", "grid")
     blk = cfg.probe_block or {}
+    # probe fields are checked before the solve, so a bad one costs no solve; the library
+    # keeps its own checks for its callers
     lam = _num(blk, "lambda", "probe", default=0.25)
+    if not 0.0 < lam < 0.5:
+        raise ConfigError("probe.lambda", f"must lie in (0, 1/2), got {lam}")
     K = _num(blk, "K", "probe", default=6, integer=True)
+    if K < 4:
+        raise ConfigError("probe.K", f"need at least 4 dyadic levels, got {K}")
     mode = blk.get("mode", "affine")
+    if mode not in ("plain", "affine"):
+        raise ConfigError("probe.mode", f"unknown mode {mode!r}")
+    centers = _given_centers(blk, grid.n)
+    if centers is None:
+        rule = blk.get("center_rule", "critical_extrema")
+        if rule != "critical_extrema":
+            raise ConfigError("probe.center_rule", f"unsupported rule {rule!r}")
+        max_centers = _num(blk, "max_centers", "probe", default=4, integer=True)
     sc = _require(cfg, "solve_config", "solve")
     source = cfg.source or SourceSpec(kind="zero", q=params.q, r=params.r)
     initial = _initial_field(cfg, grid)
     u = solver.solve(grid, sc, source, initial)
 
-    centers = _probe_centers(cfg, u, params, lam)
+    if centers is None:
+        centers = _critical_extrema(u, params, lam, max_centers, cfg.seed)
     if not centers:
         raise probe.UnresolvableCylinderError("no probe centers found or given")
     exps = expo.sharp_exponents(params)
@@ -448,7 +477,11 @@ def run_probe(cfg: ExperimentConfig, out_dir: Path) -> dict:
                 "dyadic_passes": bound.passes,
             }
         )
-    probe.profiles_to_csv(out_dir / "profile.csv", [(prof, bound) for prof, _, bound in results])
+    # one row per level, led by the center's index in summary.json
+    rows = [[i, e.k, repr(e.rho), repr(e.theta_eff), repr(e.sup_osc), repr(b.thm_bound), repr(b.ratio)]
+            for i, (prof, _, bound) in enumerate(results) for e, b in zip(prof.entries, bound.entries)]
+    _write_csv(out_dir / "profile.csv", ["center", "k", "rho", "theta_k", "S_k", "bound_k", "ratio"],
+               rows)
     payload = {
         "scenario": cfg.scenario,
         "config_sha256": cfg.sha256,

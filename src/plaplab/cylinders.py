@@ -124,7 +124,6 @@ def corrected_cylinder(
 class ZoneClassification:
     """Per-node small-gradient flags over a region at one time slice family."""
 
-    threshold: float
     mask: np.ndarray
     fraction: float
     node_count: int
@@ -138,16 +137,15 @@ def critical_zone(u: GridFunction, rho: float, alpha: float, region: Region) -> 
     node counting.
     """
     grid = u.grid
-    threshold = rho**alpha
     blk = region.block(grid, interior=True)
     g = u.gradient_on(blk.index)
     g *= g
-    sel = blk.mask & (np.sqrt(np.sum(g, axis=0)) <= threshold)
+    sel = blk.mask & (np.sqrt(np.sum(g, axis=0)) <= rho**alpha)
     flags = np.zeros((sel.shape[0],) + grid.spatial_shape, dtype=bool)
     flags[(slice(None),) + blk.box] = sel
     total = sel.shape[0] * int(blk.mask.sum())
     fraction = int(sel.sum()) / total if total else 0.0
-    return ZoneClassification(threshold=threshold, mask=flags, fraction=fraction, node_count=total)
+    return ZoneClassification(mask=flags, fraction=fraction, node_count=total)
 
 
 @dataclass(frozen=True)
@@ -167,7 +165,6 @@ class RescaledProblem:
     kappa_or_gamma: float
     provenance: str
     time_exponent: float
-    grad_scale: float | None = None
     certificates: dict = field(default_factory=dict)
 
 
@@ -328,9 +325,8 @@ def rescale_outside(
         - (params.n * (0.0 if math.isinf(params.q) else 1.0 / params.q)
            + gamma * (0.0 if math.isinf(params.r) else 1.0 / params.r))
     )
-    s0 = float(v.grid.times()[-1])  # s = 0 up to rounding, which may put 0.0 off the grid
     # from v's memo, where a profile of v at the origin finds them
-    v_at_origin, grad_v = _center_point(v, np.zeros(grid.n), s0)
+    v_at_origin, grad_v = _center_point(v, np.zeros(grid.n), 0.0)
     certificates = {
         "v_at_origin": v_at_origin,
         "grad_v_at_origin": float(np.sqrt(np.sum(grad_v * grad_v))),
@@ -343,6 +339,5 @@ def rescale_outside(
         kappa_or_gamma=gamma,
         provenance="outside_zone",
         time_exponent=gamma,
-        grad_scale=tau,
         certificates=certificates,
     )

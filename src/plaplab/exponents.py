@@ -20,17 +20,11 @@ All functions are pure and safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
 
 INF = math.inf
-
-#: Margin subtracted from alpha when a strictly-below-alpha_h value is
-#: needed (the homogeneous exponent enters the sharp minimum as an open
-#: endpoint).
-STRICT_MARGIN = 1e-6
 
 _IDENTITY_TOL = 1e-12
 
@@ -162,10 +156,6 @@ class ExponentSet:
     sigma: float
     gamma: float
     beta_star: float
-
-    def alpha_strict(self, margin: float = STRICT_MARGIN) -> float:
-        """alpha with the open homogeneous endpoint backed off by `margin`."""
-        return self.alpha - margin if self.attained_by_homogeneous else self.alpha
 
 
 def _alpha_hat(p: float, n: int, q: float, r: float) -> float:
@@ -400,16 +390,6 @@ class RegionScan:
     samples: tuple[RegionSample, ...]
     holder_curve: tuple[tuple[float, float], ...]
     lower_curve: tuple[tuple[float, float], ...] = ()
-
-    def to_csv(self, path) -> None:
-        """One row per sample: q, r, n_over_q_plus_2_over_r, admissible, violation."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["q", "r", "n_over_q_plus_2_over_r", "admissible", "violation"])
-            for smp in self.samples:
-                writer.writerow(
-                    [repr(smp.q), repr(smp.r), repr(smp.band), int(smp.admissible), smp.violation]
-                )
 
 
 def admissible_region(

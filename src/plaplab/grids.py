@@ -97,18 +97,6 @@ class SpaceTimeGrid:
     def meshgrid(self) -> tuple[np.ndarray, ...]:
         return np.meshgrid(*self.spatial_axes(), indexing="ij")
 
-    def space_index(self, x: tuple[float, ...] | np.ndarray) -> tuple[int, ...]:
-        """Multi-index of the nearest spatial node."""
-        idx = []
-        for xi in np.atleast_1d(np.asarray(x, dtype=float)):
-            i = int(round((xi + self.extent) / self.h))
-            if i < 0 or i >= self.nodes_per_axis:
-                raise ValueError(f"coordinate {xi} outside grid")
-            idx.append(i)
-        if len(idx) != self.n:
-            raise ValueError(f"expected {self.n} coordinates, got {len(idx)}")
-        return tuple(idx)
-
 
 class GridFunction:
     """Scalar field sampled on every node of a SpaceTimeGrid.
@@ -117,7 +105,7 @@ class GridFunction:
     all entries must be finite. The constructor copies values, so the
     caller's array stays its own. Point queries are multilinear in
     space-time and read only the 2^(n+1) nodes of the cell around the
-    point; the gradient at those nodes follows gradient_slice. Neither is
+    point; the gradient at those nodes follows gradient_on. Neither is
     cached.
 
     A private memo holds what the probe computes at the most recent center
@@ -186,15 +174,6 @@ class GridFunction:
         idx, weights = self._cell(x, t)
         return float(weights @ self.values[tuple(idx)])
 
-    def gradient_slice(self, it: int) -> np.ndarray:
-        """Spatial gradient of slice it, shape (n, nodes, ...).
-
-        Central differences at interior nodes, one-sided at the boundary
-        (boundary columns exist for convenience; interior queries should be
-        used for anything quantitative).
-        """
-        return self.gradient_on((it,) + (slice(0, self.grid.nodes_per_axis),) * self.grid.n)
-
     def gradient_on(self, index: tuple) -> np.ndarray:
         """Spatial gradient at values[index] (a time index or slice, then a node
         slice per axis), shape (n,) + its shape. np.gradient runs on the box plus
@@ -211,13 +190,6 @@ class GridFunction:
             for ax in range(n):  # one axis at a time: one halo-sized temporary
                 out[ax] = np.gradient(vals, self.grid.h, axis=vals.ndim - n + ax)[trim]
         return out
-
-    def gradient_at_node(self, ix: tuple[int, ...], it: int) -> np.ndarray:
-        """Central-difference gradient at an interior node."""
-        for axis, i in enumerate(ix):
-            if i <= 0 or i >= self.grid.nodes_per_axis - 1:
-                raise ValueError(f"node index {ix} touches the boundary on axis {axis}")
-        return self.gradient_on((it,) + tuple(slice(i, i + 1) for i in ix)).reshape(self.grid.n)
 
     def gradient_at(self, x, t: float) -> np.ndarray:
         """Multilinear interpolation of the node gradients of gradient_on."""

@@ -23,7 +23,6 @@ concurrently; they stay correct and can only lose the sharing.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -62,40 +61,6 @@ class OscillationProfile:
     grad_mag: float
     entries: tuple[ProfileEntry, ...]
     noise_floor: float
-    grid_h: float
-    grid_dt: float
-
-    def csv_rows(self, bounds: "DyadicReport | None" = None) -> list[list]:
-        """Rows (k, rho, theta_k, S_k, bound_k, ratio), one per level; the
-        bound and the ratio are empty without bounds."""
-        by_k = {e.k: e for e in bounds.entries} if bounds is not None else {}
-        rows = []
-        for e in self.entries:
-            b = by_k.get(e.k)
-            rows.append([e.k, repr(e.rho), repr(e.theta_eff), repr(e.sup_osc),
-                         repr(b.thm_bound) if b else "", repr(b.ratio) if b else ""])
-        return rows
-
-    def to_csv(self, path, bounds: "DyadicReport | None" = None) -> None:
-        """The csv_rows under their header."""
-        _write_csv(path, PROFILE_COLUMNS, self.csv_rows(bounds))
-
-
-PROFILE_COLUMNS = ["k", "rho", "theta_k", "S_k", "bound_k", "ratio"]
-
-
-def profiles_to_csv(path, profiles) -> None:
-    """Every center's csv_rows, each led by its center id, the index of its
-    (profile, bounds) pair in profiles."""
-    _write_csv(path, ["center", *PROFILE_COLUMNS],
-               [[i, *row] for i, (prof, bounds) in enumerate(profiles) for row in prof.csv_rows(bounds)])
-
-
-def _write_csv(path, header: list, rows: list) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _count_axis_nodes(radius: float, h: float) -> int:
@@ -207,8 +172,6 @@ def oscillation_profile(
         entries=tuple(entries),
         noise_floor=_at_center(u, x0, t0, ("noise floor", _region_key(smallest.as_region())),
                                lambda: _interp_noise_floor(u, smallest)),
-        grid_h=grid.h,
-        grid_dt=grid.dt,
     )
 
 

@@ -45,6 +45,7 @@ from .grids import (
 )
 
 INF = math.inf
+REFERENCE_NAMES = ("heat_mode", "barenblatt")  # the fields reference_slice builds
 
 
 class SolverError(RuntimeError):
@@ -690,6 +691,8 @@ def reference_slice(name: str, grid: SpaceTimeGrid, t, p: float | None = None) -
     """The reference field name (see reference_solutions) at the time t, or at
     times t of shape (T, 1, ..., 1); p selects the Barenblatt profile. Built
     by broadcasting one vector of axis nodes per axis."""
+    if name not in REFERENCE_NAMES:
+        raise ValueError(f"unknown reference solution {name!r}")
     nodes = grid.axis_nodes()
     x = [nodes.reshape([-1 if a == ax else 1 for a in range(grid.n)]) for ax in range(grid.n)]
     if name == "heat_mode":
@@ -698,11 +701,9 @@ def reference_slice(name: str, grid: SpaceTimeGrid, t, p: float | None = None) -
         for xa in x:
             out = out * np.sin(k * xa)
         return out
-    if name == "barenblatt":
-        if p is None:
-            raise ValueError("barenblatt boundary data needs an explicit p")
-        return barenblatt_profile(np.sqrt(sum(xa * xa for xa in x)), t, p, grid.n)
-    raise ValueError(f"unknown reference solution {name!r}")
+    if p is None:
+        raise ValueError("barenblatt boundary data needs an explicit p")
+    return barenblatt_profile(np.sqrt(sum(xa * xa for xa in x)), t, p, grid.n)
 
 
 def reference_solutions(name: str, p: float, n: int, grid: SpaceTimeGrid) -> GridFunction:

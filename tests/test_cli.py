@@ -150,13 +150,15 @@ def test_probe_subcommand(tmp_path):
     assert lines[0] == "center,k,rho,theta_k,S_k,bound_k,ratio"
 
 
-def test_probe_writes_every_center_to_the_profile(tmp_path):
+@pytest.mark.parametrize("mode", ["affine", "plain"])
+def test_probe_writes_every_center_to_the_profile(tmp_path, mode):
     # profile.csv holds each center's levels after its center id, the index
-    # of the center in summary.json
+    # of the center in summary.json; bound_k and ratio come from the
+    # dyadic bound of the center's plain profile
     cfg = json.loads(json.dumps(SOLVE_CFG))
     cfg["scenario"] = "two-center-probe"
     cfg["grid"] = {"h": 1 / 128, "dt": 5e-05, "t_end": 0.25}
-    cfg["probe"] = {"lambda": 0.45, "K": 4, "mode": "affine", "centers": [[0.0, 0.25], [0.25, 0.25]]}
+    cfg["probe"] = {"lambda": 0.45, "K": 4, "mode": mode, "centers": [[0.0, 0.25], [0.25, 0.25]]}
     out = tmp_path / "two_out"
     assert main(["probe", str(write_config(tmp_path, cfg)), "--out", str(out)]) == EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
@@ -164,14 +166,16 @@ def test_probe_writes_every_center_to_the_profile(tmp_path):
     lines = (out / "profile.csv").read_text().splitlines()
     assert lines[0] == "center,k,rho,theta_k,S_k,bound_k,ratio"
     rows = [line.split(",") for line in lines[1:]]
-    # each center's rows are the levels of its own profile
     u = read_binary(out / "solution.bin")
     params = cli.load_config(write_config(tmp_path, cfg, "again.json")).params
     want = []
     for c, x in enumerate((0.0, 0.25)):
-        prof = probe.oscillation_profile(u, ((x,), 0.25), 0.45, 4, params, mode="affine")
-        want += [[str(c)] + [str(v) for v in row[:4]] for row in prof.csv_rows()]
-    assert len(want) > 4 and [r[:5] for r in rows] == want
+        prof = probe.oscillation_profile(u, ((x,), 0.25), 0.45, 4, params, mode=mode)
+        plain = probe.oscillation_profile(u, ((x,), 0.25), 0.45, 4, params, mode="plain")
+        bound = probe.check_dyadic_bound(plain, params)
+        want += [[str(c), str(e.k), repr(e.rho), repr(e.theta_eff), repr(e.sup_osc),
+                  repr(b.thm_bound), repr(b.ratio)] for e, b in zip(prof.entries, bound.entries, strict=True)]
+    assert len(want) == 8 and rows == want
 
 
 def test_probe_at_t_end_of_a_grid_whose_times_fall_short_of_it(tmp_path):
@@ -357,16 +361,22 @@ BAD_FIELDS = [
     ("probe", {}, "probe.centers", [[]], "probe.centers[0]: expected a list of 2 numbers"),
     ("probe", {}, "probe.centers", [[0.0, 0.05], [5]], "probe.centers[1]: expected a list of 2 numbers"),
     ("probe", {}, "probe.centers", 5, "probe.centers: expected a list of centers"),
+    ("probe", {}, "probe.centers", [[0.0]], "probe.centers[0]: expected a list of 2 numbers [x_1, t]"),
+    ("probe", {}, "probe.mode", 5, "probe.mode: unknown mode 5"),
+    ("probe", {}, "probe.mode", "sideways", "probe.mode: unknown mode 'sideways'"),
+    ("probe", {}, "probe.lambda", 0.7, "probe.lambda: must lie in (0, 1/2), got 0.7"),
+    ("probe", {}, "probe.K", 2, "probe.K: need at least 4 dyadic levels, got 2"),
+    ("probe", {}, "solve.boundary", {"kind": "reference", "name": 5},
+     "solve.boundary.name: unknown reference solution 5"),
+    ("probe", {}, "solve.boundary", {"kind": "reference", "name": "nope"},
+     "solve.boundary.name: unknown reference solution 'nope'"),
     ("region", {}, "region.resolution", "abc", "region.resolution"),
 ]
 
 
-@pytest.mark.parametrize("subcommand, setup, key, value, names", BAD_FIELDS,
-                         ids=[f"{key}={value!r}" for _, _, key, value, _ in BAD_FIELDS])
-def test_bad_numeric_field_is_a_config_error_naming_it(tmp_path, capsys, subcommand, setup, key,
-                                                       value, names):
+def _bad_config(tmp_path, setup, key, value):
+    """The probe config with the setup entries and the bad field, written out."""
     cfg = probe_cfg()
-    cfg["grid"] = dict(SOLVE_CFG["grid"])  # probe centers are read after the solve
     cfg["region"] = {"resolution": 8}
     for name, entries in setup.items():
         cfg[name].update(entries)
@@ -375,11 +385,33 @@ def test_bad_numeric_field_is_a_config_error_naming_it(tmp_path, capsys, subcomm
     for name in parents:
         target = target[name]
     target[last] = value
-    path = write_config(tmp_path, cfg)
+    return write_config(tmp_path, cfg)
+
+
+@pytest.mark.parametrize("subcommand, setup, key, value, names", BAD_FIELDS,
+                         ids=[f"{key}={value!r}" for _, _, key, value, _ in BAD_FIELDS])
+def test_bad_numeric_field_is_a_config_error_naming_it(tmp_path, capsys, subcommand, setup, key,
+                                                       value, names):
+    path = _bad_config(tmp_path, setup, key, value)
     with pytest.raises(ConfigError, match=re.escape(names)):
         run_experiment(path, subcommand, str(tmp_path / "direct"))
     assert main([subcommand, str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert names in capsys.readouterr().err
+
+
+PROBE_FIELDS = [row for row in BAD_FIELDS if row[0] == "probe"]
+
+
+@pytest.mark.parametrize("subcommand, setup, key, value, names", PROBE_FIELDS,
+                         ids=[f"{key}={value!r}" for _, _, key, value, _ in PROBE_FIELDS])
+def test_no_bad_probe_field_reaches_the_solve(tmp_path, monkeypatch, subcommand, setup, key, value,
+                                              names):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran before the bad field was rejected")
+
+    monkeypatch.setattr(cli.solver, "solve", no_solve)
+    with pytest.raises(ConfigError, match=re.escape(names)):
+        run_experiment(_bad_config(tmp_path, setup, key, value), subcommand, str(tmp_path / "out"))
 
 
 def test_failed_validation_exit_code(tmp_path, capsys, monkeypatch):

@@ -74,27 +74,23 @@ def test_gridfunction_shape_and_immutability():
 # ---------------------------------------------------------------------------
 # gradient
 
+def _node_gradient(u, ix, it):
+    """gradient_on at the single node ix of slice it, shape (n,)."""
+    return u.gradient_on((it,) + tuple(slice(i, i + 1) for i in ix)).reshape(u.grid.n)
+
+
 def test_gradient_exact_on_affine():
     g = small_grid(n=2, h=1 / 8, dt=1 / 16)
     u = GridFunction.from_callable(g, lambda x, y, t: 0.75 * x - 0.25 * y + 0.1)
     for ix in [(3, 4), (7, 2), (10, 10)]:
-        grad = u.gradient_at_node(ix, 2)
+        grad = _node_gradient(u, ix, 2)
         assert grad == pytest.approx([0.75, -0.25], abs=1e-13)
 
 
 def test_gradient_zero_on_constant():
     g = small_grid()
     u = GridFunction(g, np.full(g.shape, 3.2))
-    assert u.gradient_at_node((5,), 1) == pytest.approx([0.0], abs=1e-14)
-
-
-def test_gradient_rejects_boundary():
-    g = small_grid()
-    u = GridFunction(g, np.zeros(g.shape))
-    with pytest.raises(ValueError):
-        u.gradient_at_node((0,), 1)
-    with pytest.raises(ValueError):
-        u.gradient_at_node((g.nodes_per_axis - 1,), 1)
+    assert _node_gradient(u, (5,), 1) == pytest.approx([0.0], abs=1e-14)
 
 
 def test_gradient_second_order_on_quadratic():
@@ -103,8 +99,8 @@ def test_gradient_second_order_on_quadratic():
         g = small_grid(h=h)
         u = GridFunction.from_callable(g, lambda x, t: x * x)
         xq = 0.25
-        ix = g.space_index((xq,))
-        errs.append(abs(u.gradient_at_node(ix, 1)[0] - 2 * xq))
+        ix = (round((xq + g.extent) / h),)
+        errs.append(abs(_node_gradient(u, ix, 1)[0] - 2 * xq))
     # central differences are exact on quadratics up to roundoff
     assert max(errs) < 1e-12
 
@@ -121,7 +117,7 @@ def _reference_interpolators(u):
     from scipy.interpolate import RegularGridInterpolator
 
     pts = (u.grid.times(),) + u.grid.spatial_axes()
-    grads = np.stack([u.gradient_slice(j) for j in range(u.grid.num_times)], axis=1)
+    grads = u.gradient_on((slice(None),) + (slice(0, u.grid.nodes_per_axis),) * u.grid.n)
     value = RegularGridInterpolator(pts, u.values, method="linear", bounds_error=True)
     grad = [RegularGridInterpolator(pts, ga, method="linear", bounds_error=True) for ga in grads]
     return value, grad, float(np.max(np.abs(grads)))

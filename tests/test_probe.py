@@ -132,17 +132,6 @@ def test_profile_per_step_theta_differs_off_heat():
     assert max(later) > 1e-4
 
 
-def test_profile_csv(tmp_path):
-    u = frozen_radial(0.5)
-    prof = oscillation_profile(u, ((0.0,), 0.0), LAM, K, HEAT, mode="plain")
-    report = check_dyadic_bound(prof, HEAT)
-    path = tmp_path / "profile.csv"
-    prof.to_csv(path, bounds=report)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "k,rho,theta_k,S_k,bound_k,ratio"
-    assert len(lines) == 1 + K
-
-
 # ---------------------------------------------------------------------------
 # fits
 

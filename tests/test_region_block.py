@@ -309,7 +309,8 @@ def test_region_block_reductions_match_the_per_slice_references(n, seed, ball, s
             assert np.array_equal(np.broadcast_to(d, m.shape), m - c)
         grads = np.stack([_gradient_by_slices(u, j) for j in range(g.num_times)], axis=1)
         assert np.array_equal(u.gradient_on(blk.index), grads[(slice(None),) + blk.index])
-    assert np.array_equal(u.gradient_slice(3), _gradient_by_slices(u, 3))
+    whole = (3,) + (slice(0, g.nodes_per_axis),) * g.n
+    assert np.array_equal(u.gradient_on(whole), _gradient_by_slices(u, 3))
     zone = critical_zone(u, 0.45, 0.5, region)
     flags, fraction, count = _critical_zone_by_slices(u, 0.45, 0.5, region)
     assert np.array_equal(zone.mask, flags)
@@ -448,4 +449,4 @@ def test_point_and_node_gradients_equal_the_stencils_they_replaced(n, seed, spot
     j = int(rng.integers(0, g.num_times))
     want = [(u.values[j][tuple(i + (a == b) for b, i in enumerate(ix))]
              - u.values[j][tuple(i - (a == b) for b, i in enumerate(ix))]) / (2.0 * g.h) for a in range(n)]
-    assert np.array_equal(u.gradient_at_node(ix, j), want)
+    assert np.array_equal(u.gradient_on((j,) + tuple(slice(i, i + 1) for i in ix)).reshape(n), want)
