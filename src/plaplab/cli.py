@@ -42,6 +42,18 @@ EXIT_SOLVER = 3
 EXIT_PROBE = 4
 EXIT_NUMERIC = 5  # an ArithmeticError: a numerical guard such as sigma*theta >= 2 tripped
 _REQUIRED = object()  # the default of a _num field without one
+# the fields the CLI reads, per block path ("" is the top level)
+_FIELDS = {
+    "": {"scenario", "params", "grid", "solve", "source", "probe", "region", "output_dir", "seed"},
+    "params": {"p", "n", "q", "r", "alpha_h"},
+    "grid": {"n", "extent", "h", "dt", "t_start", "t_end"},
+    "solve": {"p", "eps_reg", "scheme", "boundary", "initial"},
+    "solve.boundary": {"kind", "value", "gradient", "name"},
+    "solve.initial": {"kind", "value"},
+    "source": {"kind", "c", "a", "b", "amplitude", "q", "r"},
+    "probe": {"lambda", "K", "mode", "centers", "max_centers"},
+    "region": {"p", "n", "resolution", "q_max", "r_max"},
+}
 
 
 class ConfigError(ValueError):
@@ -76,6 +88,24 @@ def _num(block: dict, key: str, path: str, default=_REQUIRED, integer=False):
     return int(val) if integer else val
 
 
+def _restated(block: dict, key: str, path: str, params, default=_REQUIRED, integer=False):
+    """The number block[key] without a params block; with one, params' value,
+    which block[key] must equal when it restates it."""
+    if params is None:
+        return _num(block, key, path, default, integer)
+    given = getattr(params, key)
+    if key in block and _num(block, key, path, integer=integer) != given:
+        raise ConfigError(f"{path}.{key}", f"disagrees with params.{key} = {given}")
+    return given
+
+
+def _known_fields(block: dict, path: str) -> None:
+    """Reject a key of the block at path that the CLI does not read."""
+    for key in block:
+        if key not in _FIELDS[path]:
+            raise ConfigError(f"{path}.{key}" if path else key, "unknown field")
+
+
 def _object(block: dict, key: str, path: str, default=None):
     """The object block[key] of the block at path, or default when absent."""
     if key not in block:
@@ -83,6 +113,7 @@ def _object(block: dict, key: str, path: str, default=None):
     val = block[key]
     if not isinstance(val, dict):
         raise ConfigError(path, f"expected an object, got {type(val).__name__}")
+    _known_fields(val, path)
     return val
 
 
@@ -128,6 +159,7 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(str(path), f"invalid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError("$", "top level must be an object")
+    _known_fields(raw, "")
 
     scenario = raw.get("scenario", "unnamed")
     params = None
@@ -147,7 +179,7 @@ def load_config(path) -> ExperimentConfig:
     if blk is not None:
         with _block_errors("grid"):
             grid = SpaceTimeGrid(
-                n=_num(blk, "n", "grid", default=params.n if params else 1, integer=True),
+                n=_restated(blk, "n", "grid", params, default=1, integer=True),
                 extent=_num(blk, "extent", "grid", default=1.0),
                 h=_num(blk, "h", "grid"),
                 dt=_num(blk, "dt", "grid"),
@@ -183,11 +215,9 @@ def load_config(path) -> ExperimentConfig:
         )
         with _block_errors("solve"):
             solve_config = SolveConfig(
-                p=params.p if params else _num(blk, "p", "solve"),
+                p=_restated(blk, "p", "solve", params),
                 eps_reg=_num(blk, "eps_reg", "solve", default=None),
                 scheme=blk.get("scheme", "semi_implicit"),
-                newton_tol=_num(blk, "newton_tol", "solve", default=1e-10),
-                max_inner_iters=_num(blk, "max_inner_iters", "solve", default=500, integer=True),
                 boundary=boundary,
             )
         init = _object(blk, "initial", "solve.initial", {})
@@ -312,8 +342,8 @@ def run_exponent(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
 def run_region(cfg: ExperimentConfig, out_dir: Path) -> dict:
     blk = cfg.region_block or {}
-    p = cfg.params.p if cfg.params else _num(blk, "p", "region")
-    n = cfg.params.n if cfg.params else _num(blk, "n", "region", integer=True)
+    p = _restated(blk, "p", "region", cfg.params)
+    n = _restated(blk, "n", "region", cfg.params, integer=True)
     resolution = _num(blk, "resolution", "region", default=32, integer=True)
     scan = expo.admissible_region(
         p,
@@ -366,18 +396,25 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> dict:
     return payload
 
 
-def _given_centers(blk: dict, n: int) -> list | None:
-    """The probe.centers list as (x, t) pairs, or None to pick centers by rule."""
+def _given_centers(blk: dict, grid: SpaceTimeGrid) -> list | None:
+    """The probe.centers list as (x, t) pairs on the grid, or None to pick extrema."""
     if not blk.get("centers"):
         return None
     if not isinstance(blk["centers"], list):
         raise ConfigError("probe.centers", "expected a list of centers")
+    n = grid.n
     label = "[" + ", ".join(f"x_{a}" for a in range(1, n + 1)) + ", t]"
+    axes = [grid.axis_nodes()] * n + [grid.times()]
     rows = []
     for i, c in enumerate(blk["centers"]):
         if not (isinstance(c, list) and len(c) == n + 1):
             raise ConfigError(f"probe.centers[{i}]", f"expected a list of {n + 1} numbers {label}")
-        rows.append([_number(v, f"probe.centers[{i}][{k}]") for k, v in enumerate(c)])
+        row = [_number(v, f"probe.centers[{i}][{k}]") for k, v in enumerate(c)]
+        for k, (v, axis) in enumerate(zip(row, axes)):
+            if not axis[0] <= v <= axis[-1]:
+                raise ConfigError(f"probe.centers[{i}][{k}]",
+                                  f"{v} lies off the grid axis [{axis[0]}, {axis[-1]}]")
+        rows.append(row)
     return [(tuple(row[:-1]), row[-1]) for row in rows]
 
 
@@ -430,11 +467,8 @@ def run_probe(cfg: ExperimentConfig, out_dir: Path) -> dict:
     mode = blk.get("mode", "affine")
     if mode not in ("plain", "affine"):
         raise ConfigError("probe.mode", f"unknown mode {mode!r}")
-    centers = _given_centers(blk, grid.n)
+    centers = _given_centers(blk, grid)
     if centers is None:
-        rule = blk.get("center_rule", "critical_extrema")
-        if rule != "critical_extrema":
-            raise ConfigError("probe.center_rule", f"unsupported rule {rule!r}")
         max_centers = _num(blk, "max_centers", "probe", default=4, integer=True)
     sc = _require(cfg, "solve_config", "solve")
     source = cfg.source or SourceSpec(kind="zero", q=params.q, r=params.r)

@@ -86,21 +86,18 @@ def corrected_cylinder(
     k: int,
     params: ProblemParams,
     grad_mag: float,
-    theta_value: float | None = None,
 ) -> Cylinder:
     """Level-k cylinder of the dyadic family with base ratio rho.
 
     Ball radius rho**k; depth rho**(theta (sigma + k - 1)), i.e. the level-1
     depth rho**(theta sigma) shrunk by rho**theta per level, which is the
-    geometry the oscillation iteration maps onto itself. theta_value
-    overrides the gradient-derived exponent (used by the per-level variant
-    that re-derives theta from the accumulated gradient sum).
+    geometry the oscillation iteration maps onto itself.
     """
     if not (0.0 < rho < 1.0):
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
     if k < 1:
         raise ValueError(f"correction index k must be >= 1, got {k}")
-    th = theta(params, grad_mag, rho) if theta_value is None else theta_value
+    th = theta(params, grad_mag, rho)
     sigma = sharp_exponents(params).sigma
     if sigma * th < 2.0 - _SIGMA_THETA_TOL:
         raise ArithmeticError(f"sigma*theta = {sigma * th} < 2 on construction")

@@ -200,33 +200,21 @@ def sharp_exponents(params: ProblemParams) -> ExponentSet:
     )
 
 
-def theta_from_combined(params: ProblemParams, combined: float, base: float) -> float:
-    """Temporal scaling exponent from a precombined gradient measure.
-
-    `combined` plays the role of base**alpha + |grad u| (or the accumulated
-    dyadic sum of the iteration). It is clamped at 1: the intrinsic scaling
-    only deforms time inside the small-gradient regime, and saturates to the
-    parabolic value 2 once the gradient measure reaches unit size.
-    """
-    if not (0.0 < base < 1.0):
-        raise ValueError(f"base must lie in (0, 1), got {base}")
-    if not combined > 0.0:
-        raise ValueError(f"combined gradient measure must be positive, got {combined}")
-    clamped = min(combined, 1.0)
-    return 2.0 + (2.0 - params.p) * math.log(clamped) / math.log(base)
-
-
 def theta(params: ProblemParams, grad_mag: float, base: float) -> float:
     """Intrinsic temporal exponent 2 + (2-p) log_base(base**alpha + grad_mag).
 
     Always finite (base**alpha > 0). Constant 2 for p = 2; for p != 2 it
     interpolates between 2 + (2-p) alpha at zero gradient and 2 at unit
-    gradient measure.
+    gradient measure: the measure is clamped at 1, since the intrinsic
+    scaling only deforms time inside the small-gradient regime.
     """
-    if grad_mag < 0.0:
+    if not grad_mag >= 0.0:  # NaN included
         raise ValueError(f"grad_mag must be nonnegative, got {grad_mag}")
+    if not (0.0 < base < 1.0):
+        raise ValueError(f"base must lie in (0, 1), got {base}")
     alpha = sharp_exponents(params).alpha
-    return theta_from_combined(params, base**alpha + grad_mag, base)
+    clamped = min(base**alpha + grad_mag, 1.0)
+    return 2.0 + (2.0 - params.p) * math.log(clamped) / math.log(base)
 
 
 def theta_bounds(params: ProblemParams) -> tuple[float, float]:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cylinders import Cylinder, corrected_cylinder, rescale_outside
-from .exponents import ProblemParams, sharp_exponents, theta_from_combined
+from .exponents import ProblemParams, sharp_exponents
 from .grids import (GridFunction, Region, RegionBlock, SpaceTimeGrid, _at_center, _center_point,
                     _region_key, _time_extremes, masked_abs_max, sup_oscillation)
 from .solver import SolveConfig, SourceSpec, solve
@@ -96,14 +96,11 @@ def oscillation_profile(
     K: int,
     params: ProblemParams,
     mode: str = "plain",
-    per_step_theta: bool = False,
 ) -> OscillationProfile:
     """Sup oscillation over the corrected dyadic cylinders k = 1..K.
 
     mode "plain" measures |u - u(center)|; mode "affine" subtracts the
-    tangent plane u(center) + grad u(center) . (x - x0). per_step_theta
-    re-derives the temporal exponent at each level from the accumulated
-    gradient sum instead of the fixed base exponent.
+    tangent plane u(center) + grad u(center) . (x - x0).
     """
     if not (0.0 < lam < 0.5):
         raise ValueError(f"lambda must lie in (0, 1/2), got {lam}")
@@ -116,17 +113,7 @@ def oscillation_profile(
     t0 = float(center[1])
     value, grad = _center_point(u, x0, t0)
     gmag = float(np.sqrt(np.sum(grad * grad)))
-    alpha = sharp_exponents(params).alpha
-
-    cylinders = []
-    for k in range(1, K + 1):
-        if per_step_theta:
-            acc = lam ** (k * alpha) + gmag * sum(lam ** (j * alpha) for j in range(k))
-            th_k = theta_from_combined(params, acc, lam**k)
-            cyl = corrected_cylinder((x0, t0), lam, k, params, gmag, theta_value=th_k)
-        else:
-            cyl = corrected_cylinder((x0, t0), lam, k, params, gmag)
-        cylinders.append(cyl)
+    cylinders = [corrected_cylinder((x0, t0), lam, k, params, gmag) for k in range(1, K + 1)]
 
     smallest = cylinders[-1]
     if _count_axis_nodes(smallest.rho, grid.h) < MIN_NODES_PER_AXIS:

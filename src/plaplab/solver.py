@@ -5,10 +5,10 @@ diffusivity (|grad u_old|^2 + eps^2)^((p-2)/2), serves every scheme and the
 semi-discrete residual, and one time loop marches every dimension under
 both schemes. The default scheme is semi-implicit: each step solves one SPD
 linear system with the operator's step solver, directly by cyclic reduction
-in 1D, and in 2D and 3D by conjugate gradients to newton_tol within
-max_inner_iters, preconditioned by the fast-diagonalisation (DST-I) inverse
-of the constant-coefficient step matrix with the mean coupling, scaled to
-the operator's diagonal. At p = 2 the step matrix never changes and the
+in 1D, and in 2D and 3D by conjugate gradients to relative residual
+_CG_RTOL within _CG_MAX_ITERS, preconditioned by the fast-diagonalisation
+(DST-I) inverse of the constant-coefficient step matrix with the mean
+coupling, scaled to the operator's diagonal. At p = 2 the step matrix never changes and the
 DST-I diagonalises it, so the semi-implicit march runs in the sine
 eigenbasis instead, a chunk of time slices per transform. The explicit
 scheme runs behind a CFL guard; a failed step names its step and time.
@@ -97,20 +97,11 @@ class BoundarySpec:
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Scheme parameters; eps_reg = None means eps = h at solve time.
-
-    newton_tol (relative residual) and max_inner_iters govern the
-    conjugate-gradient solve of the semi-implicit scheme in 2D and 3D at
-    p != 2, which is preconditioned by a diagonally scaled
-    fast-diagonalisation solver. 1D steps are solved directly, and p = 2 is
-    marched exactly in the sine eigenbasis, so neither uses them.
-    """
+    """Scheme parameters; eps_reg = None means eps = h at solve time."""
 
     p: float
     eps_reg: float | None = None
     scheme: str = "semi_implicit"
-    newton_tol: float = 1e-10
-    max_inner_iters: int = 500
     boundary: BoundarySpec = field(default_factory=BoundarySpec)
 
     def __post_init__(self):
@@ -118,10 +109,6 @@ class SolveConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.eps_reg is not None and not self.eps_reg >= 0:  # NaN included
             raise ValueError(f"eps_reg must be nonnegative, got {self.eps_reg}")
-        if not (math.isfinite(self.newton_tol) and self.newton_tol > 0):
-            raise ValueError(f"newton_tol must be finite and positive, got {self.newton_tol}")
-        if self.max_inner_iters < 1:
-            raise ValueError(f"max_inner_iters must be at least 1, got {self.max_inner_iters}")
 
     def resolved_eps(self, grid: SpaceTimeGrid) -> float:
         eps = grid.h if self.eps_reg is None else self.eps_reg
@@ -422,6 +409,11 @@ def _fast_diagonal_preconditioner(op: _StepOperator, basis: np.ndarray):
     return precond
 
 
+# the conjugate-gradient stop of a 2D/3D semi-implicit step at p != 2
+_CG_RTOL = 1e-10  # relative residual
+_CG_MAX_ITERS = 500  # iterations
+
+
 def _pcg(apply_a, b, x, precond, rtol, maxiter):
     """Preconditioned conjugate gradients for apply_a(v, out) x = b from the
     start x; precond(r, out) writes M^-1 r into out. x, r and p are updated
@@ -523,7 +515,7 @@ def _tridiag_solve(levels: list, rhs: np.ndarray) -> np.ndarray:
     return d[:n]
 
 
-def _step_solver(op: _StepOperator, basis: np.ndarray | None, config: SolveConfig):
+def _step_solver(op: _StepOperator, basis: np.ndarray | None):
     """step_solve(rhs, x) solves the step matrix of op against rhs into x,
     which holds the start: by a tridiagonal factor in 1D, by preconditioned
     conjugate gradients in 2D and 3D."""
@@ -531,7 +523,7 @@ def _step_solver(op: _StepOperator, basis: np.ndarray | None, config: SolveConfi
         levels = _tridiag_factor(op.diag, -op.couplings[0][1:-1])
         return lambda rhs, x: np.copyto(x, _tridiag_solve(levels, rhs))
     precond = _fast_diagonal_preconditioner(op, basis)
-    return lambda rhs, x: _pcg(op.apply, rhs, x, precond, config.newton_tol, config.max_inner_iters)
+    return lambda rhs, x: _pcg(op.apply, rhs, x, precond, _CG_RTOL, _CG_MAX_ITERS)
 
 
 # time slices are handled in chunks (of at least one slice) whose working
@@ -641,7 +633,7 @@ def solve(
                     dmax = cmax * h * h / dt
                     raise CflError(f"explicit dt={dt:.3e} exceeds stability bound "
                                    f"{0.45 * h * h / (grid.n * dmax):.3e} (max diffusivity {dmax:.3e})")
-                step_solve = None if explicit else _step_solver(op, basis, config)
+                step_solve = None if explicit else _step_solver(op, basis)
             u_new = out[m]
             u_new[...] = boundary_at(times[m])
             if explicit:
@@ -845,14 +837,14 @@ def bump_battery(grid: SpaceTimeGrid, region: Region, powers=(2, 3),
     return battery
 
 
-def make_cutoff(grid: SpaceTimeGrid, region: Region, power: int = 2) -> GridFunction:
+def make_cutoff(grid: SpaceTimeGrid, region: Region) -> GridFunction:
     """[0,1]-valued cutoff: polynomial bump in space, smooth ramp-up in time.
 
     Vanishes on the spatial rim of the region and at its initial time;
     equals its spatial profile afterwards, so the time derivative is
     supported where the ramp rises.
     """
-    return bump_battery(grid, region, powers=(power,), scales=(1.0,))[0]
+    return bump_battery(grid, region, powers=(2,), scales=(1.0,))[0]
 
 
 def truncation_estimate(u: GridFunction) -> float:

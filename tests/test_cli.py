@@ -213,7 +213,6 @@ def test_probe_center_rule_finds_critical_extrema(tmp_path):
         "lambda": 0.45,
         "K": 4,
         "mode": "affine",
-        "center_rule": "critical_extrema",
         "max_centers": 2,
     }
     out = tmp_path / "rule_out"
@@ -340,10 +339,7 @@ BAD_FIELDS = [
     ("solve", {"source": {"kind": "constant"}}, "source.b", math.nan, "source.b"),
     ("solve", {"source": {"kind": "constant"}}, "source.amplitude", "x", "source.amplitude"),
     ("solve", {}, "source.amplitude", 1e400, "source: amplitude = inf is not finite"),  # overflows to inf
-    ("solve", {}, "solve.newton_tol", math.nan, "solve.newton_tol"),
     ("solve", {}, "solve.eps_reg", math.nan, "solve.eps_reg"),
-    ("solve", {}, "solve.newton_tol", -1.0, "solve: newton_tol"),
-    ("solve", {}, "solve.max_inner_iters", 0, "solve: max_inner_iters"),
     ("solve", {}, "seed", True, "seed"),
     ("solve", {}, "output_dir", 5, "output_dir: expected a string, got int"),
     ("solve", {"solve": {"boundary": {"kind": "affine"}}}, "solve.boundary.gradient", [1.0, 2.0],
@@ -371,7 +367,29 @@ BAD_FIELDS = [
     ("probe", {}, "solve.boundary", {"kind": "reference", "name": "nope"},
      "solve.boundary.name: unknown reference solution 'nope'"),
     ("region", {}, "region.resolution", "abc", "region.resolution"),
+    # fields the CLI does not read, retired ones included
+    ("probe", {}, "bogus", 1, "bogus: unknown field"),
+    ("probe", {}, "probe.lamda", 0.3, "probe.lamda: unknown field"),
+    ("probe", {}, "solve.newton_tol", 1e-14, "solve.newton_tol: unknown field"),
+    # fields that restate params must agree with it
+    ("exponent", {}, "grid.n", 2, "grid.n: disagrees with params.n = 1"),
+    ("exponent", {}, "solve.p", 3.0, "solve.p: disagrees with params.p = 2.0"),
+    ("region", {}, "region.p", 3.0, "region.p: disagrees with params.p = 2.0"),
+    ("region", {}, "region.n", 2, "region.n: disagrees with params.n = 1"),
+    # explicit centers off the grid (t runs over [0, 0.3])
+    ("probe", {}, "probe.centers", [[5.0, 0.3]],
+     "probe.centers[0][0]: 5.0 lies off the grid axis [-1.0, 1.0]"),
+    ("probe", {}, "probe.centers", [[0.0, 99.0]],
+     "probe.centers[0][1]: 99.0 lies off the grid axis [0.0, 0.3]"),
 ]
+
+
+def test_a_restated_field_that_agrees_with_params_loads(tmp_path):
+    cfg = json.loads(json.dumps(SOLVE_CFG))
+    cfg["grid"]["n"] = 1
+    cfg["solve"]["p"] = 2
+    loaded = load_config(write_config(tmp_path, cfg))
+    assert loaded.grid.n == 1 and loaded.solve_config.p == 2.0
 
 
 def _bad_config(tmp_path, setup, key, value):

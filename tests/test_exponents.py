@@ -20,7 +20,6 @@ from plaplab.exponents import (
     singular_band_level,
     theta,
     theta_bounds,
-    theta_from_combined,
 )
 
 
@@ -383,14 +382,7 @@ def test_region_scan_contains_reference_point():
     assert check_compatibility_values(1.5, 2, 8.0, 8.0).admissible
 
 
-# theta overload: the accumulated dyadic sum in place of base**alpha + grad
-def test_theta_from_combined_matches_direct():
-    params = ProblemParams(p=3.0, n=2, q=12.0, r=12.0, alpha_h=1.0)
-    alpha = sharp_exponents(params).alpha
-    lam, g = 0.3, 0.02
-    assert theta_from_combined(params, lam**alpha + g, lam) == pytest.approx(
-        theta(params, g, lam), rel=1e-12
-    )
-    # k = 1 accumulated sum coincides with the direct form
-    acc = lam**alpha + g * 1.0
-    assert theta_from_combined(params, acc, lam) == pytest.approx(theta(params, g, lam), rel=1e-12)
+@pytest.mark.parametrize("grad_mag, base", [(-0.1, 0.25), (math.nan, 0.25), (0.1, 0.0), (0.1, 1.0)])
+def test_theta_rejects_a_bad_gradient_or_base(grad_mag, base):
+    with pytest.raises(ValueError, match="grad_mag must be nonnegative|base must lie in"):
+        theta(ProblemParams(p=3.0, n=2, q=12.0, r=12.0, alpha_h=1.0), grad_mag, base)

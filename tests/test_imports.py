@@ -1,7 +1,8 @@
-"""Every module-level import of the library is used.
+"""Every module-level import of the library is used, and every module-level
+private name (`_x`) of the library is read somewhere in it.
 
-No linter ships with the project, so this stdlib check stands in for one.
-`__init__.py` is exempt: it only re-exports.
+No linter ships with the project, so these stdlib checks stand in for one.
+`__init__.py` is exempt from the import check: it only re-exports.
 """
 
 import ast
@@ -11,6 +12,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "plaplab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(SRC.glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -36,3 +38,44 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_module_level_import_is_used(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """The private names (_x, not __x__) that the module's top level binds."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    """Every name the module reads, as a name, an attribute or an import."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def _unread_private_names(sources: list[str]) -> list[str]:
+    trees = [ast.parse(source) for source in sources]
+    defined = set().union(*map(_private_definitions, trees))
+    read = set().union(*map(_reads, trees))
+    return sorted(defined - read)
+
+
+def test_the_private_name_check_sees_an_unread_name():
+    module = "_A = 1\n_B, _C = 2, 3\n\ndef _f():\n    return _B\n\nclass _K:\n    pass\n"
+    assert _unread_private_names([module, "from m import _K\nx = m._f\n"]) == ["_A", "_C"]
+
+
+def test_every_module_level_private_name_is_read():
+    assert _unread_private_names([path.read_text() for path in PACKAGE]) == []

@@ -104,34 +104,6 @@ def test_profile_center_near_boundary_rejected():
         oscillation_profile(u, ((0.9,), 0.0), LAM, K, HEAT)
 
 
-def test_profile_per_step_theta_close_to_fixed():
-    u = frozen_radial(0.5)
-    prof_f = oscillation_profile(u, ((0.0,), 0.0), LAM, K, HEAT, mode="plain")
-    prof_s = oscillation_profile(u, ((0.0,), 0.0), LAM, K, HEAT, mode="plain",
-                                 per_step_theta=True)
-    # heat scaling is gradient-blind, the two families coincide
-    for a, b in zip(prof_f.entries, prof_s.entries):
-        assert a.depth == pytest.approx(b.depth, rel=1e-12)
-        assert a.sup_osc == pytest.approx(b.sup_osc, rel=1e-12)
-
-
-def test_profile_per_step_theta_differs_off_heat():
-    # nonzero gradient at the center and p != 2: the accumulated-sum variant
-    # deepens levels differently from the fixed-base exponent
-    params = ProblemParams(p=3.0, n=1, q=INF, r=4.0, alpha_h=1.0)
-    g = synthetic_grid(h=1 / 256, dt=1 / 32768)
-    u = GridFunction.from_callable(g, lambda x, t: 0.1 * x + 0.5 * x * x)
-    prof_f = oscillation_profile(u, ((0.0,), 0.0), LAM, K, params, mode="plain")
-    prof_s = oscillation_profile(u, ((0.0,), 0.0), LAM, K, params, mode="plain",
-                                 per_step_theta=True)
-    assert prof_f.entries[0].depth == pytest.approx(prof_s.entries[0].depth, rel=1e-12)
-    later = [
-        abs(a.depth - b.depth) / a.depth
-        for a, b in zip(prof_f.entries[1:], prof_s.entries[1:])
-    ]
-    assert max(later) > 1e-4
-
-
 # ---------------------------------------------------------------------------
 # fits
 

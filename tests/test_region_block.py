@@ -359,7 +359,7 @@ def test_weak_form_and_energy_sides_match_the_per_slice_references(n, seed, ball
     shape = {"radius": size} if ball else {"half_widths": tuple(size * (1 - 0.2 * a) for a in range(n))}
     region = Region(center=x0, t_start=0.125, t_end=0.375, **shape)
     source = SourceSpec(kind="constant", c=float(rng.uniform(-1, 1)), q=4.0, r=4.0)
-    cutoff = make_cutoff(g, region, power=2)
+    cutoff = make_cutoff(g, region)
     want, scale = _weak_residual_by_slices(u, source, cutoff, region, p)
     assert abs(weak_residual(u, source, cutoff, region, p) - want) <= REL * scale
     for c_fit in (0.0, 1.5):
@@ -391,7 +391,7 @@ def test_each_region_integral_builds_the_space_block_once(monkeypatch, ball):
     shape = {"radius": 0.6} if ball else {"half_widths": (0.6, 0.5)}
     region = Region(center=(0.1, -0.1), t_start=0.125, t_end=0.375, **shape)
     source = SourceSpec(kind="constant", c=0.3, q=4.0, r=4.0)
-    cutoff = make_cutoff(g, region, power=2)
+    cutoff = make_cutoff(g, region)
     built = []
     space_block = Region._space_block
     monkeypatch.setattr(Region, "_space_block",

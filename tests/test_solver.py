@@ -285,12 +285,13 @@ def test_reference_slice_is_a_slice_of_the_reference_field():
                 assert np.array_equal(reference_slice(name, g, t, p), field.values[j])
 
 
-def test_inner_solve_divergence_reports():
+def test_inner_solve_divergence_reports(monkeypatch):
     # conjugate gradients run in 2D and 3D off p = 2 only; 1D steps are a
     # direct solve, and p = 2 marches in the sine eigenbasis
+    monkeypatch.setattr(solver_module, "_CG_MAX_ITERS", 1)
+    monkeypatch.setattr(solver_module, "_CG_RTOL", 1e-14)
     g = SpaceTimeGrid(n=2, extent=1.0, h=1 / 16, dt=1 / 64, t_start=0.0, t_end=3 / 64)
-    cfg = SolveConfig(p=3.0, max_inner_iters=1, newton_tol=1e-14,
-                      boundary=BoundarySpec(kind="zero"))
+    cfg = SolveConfig(p=3.0, boundary=BoundarySpec(kind="zero"))
     rng = np.random.default_rng(0)
     with pytest.raises(SolverError, match="did not reach rtol"):
         solve(g, cfg, SourceSpec(kind="constant", c=1.0), rng.random(g.spatial_shape))
@@ -682,10 +683,7 @@ def test_1d_solve_does_not_import_scipy_linalg(p):
     assert out.stdout.strip() == "False False"
 
 
-@pytest.mark.parametrize("field, value", [
-    ("newton_tol", float("nan")), ("newton_tol", float("inf")), ("newton_tol", 0.0),
-    ("newton_tol", -1.0), ("max_inner_iters", 0), ("eps_reg", float("nan")),
-])
+@pytest.mark.parametrize("field, value", [("eps_reg", float("nan"))])
 def test_solve_config_rejects_bad_inner_solve_settings(field, value):
     with pytest.raises(ValueError, match=field):
         SolveConfig(p=2.0, **{field: value})
