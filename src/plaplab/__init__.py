@@ -10,7 +10,6 @@ from .exponents import (
     check_compatibility,
     check_compatibility_values,
     epsilon_layers,
-    kappa_mu,
     sharp_exponents,
     theta,
     theta_bounds,
@@ -31,7 +30,6 @@ from .cylinders import (
     corrected_cylinder,
     critical_zone,
     intrinsic_cylinder,
-    rescale_normalize,
     rescale_outside,
 )
 from .solver import (

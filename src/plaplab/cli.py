@@ -470,6 +470,8 @@ def run_probe(cfg: ExperimentConfig, out_dir: Path) -> dict:
     centers = _given_centers(blk, grid)
     if centers is None:
         max_centers = _num(blk, "max_centers", "probe", default=4, integer=True)
+        if max_centers < 1:
+            raise ConfigError("probe.max_centers", f"must be at least 1, got {max_centers}")
     sc = _require(cfg, "solve_config", "solve")
     source = cfg.source or SourceSpec(kind="zero", q=params.q, r=params.r)
     initial = _initial_field(cfg, grid)

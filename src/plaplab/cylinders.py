@@ -6,12 +6,12 @@ of the flow, deformed by the gradient magnitude at the center; dyadic
 families additionally carry the correction factor sigma that shallows the
 cylinders in the degenerate range p > 2 so the iteration geometry nests.
 
-Two rescaling maps are provided: the sup-normalizing map (mu-scaling, puts
-any bounded solution below unit size with a delta-small source) and the
-gradient-scale map used away from the critical zone (tau-scaling, unit
-gradient at the origin). Both realize the rescaled fields by multilinear
-interpolation onto a fresh grid with the same node counts, computed one
-axis at a time.
+The gradient-scale map used away from the critical zone (tau-scaling,
+unit gradient at the origin) realizes the rescaled field by multilinear
+interpolation, one axis at a time, onto the window of the tau-cylinder
+grid that a profile at the origin reads: the nodes within about 1/2 of
+the origin in space and 1/4 back in time, at the h and dt of a grid with
+the solution's node counts.
 
 Constructors and classifiers here are pure functions over immutable grid
 functions; unrestricted concurrency is safe.
@@ -24,16 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exponents import ProblemParams, kappa_mu, sharp_exponents, theta
-from .grids import (
-    GridFunction,
-    Region,
-    SpaceTimeGrid,
-    _center_point,
-    anisotropic_norm,
-    full_domain_region,
-    locate_on_axis,
-)
+from . import grids
+from .exponents import ProblemParams, sharp_exponents, theta
+from .grids import GridFunction, Region, SpaceTimeGrid, _center_point, locate_on_axis
+
+# no code here calls it: the name stays because perfbench's traced runs wrap
+# plaplab.cylinders.anisotropic_norm by name (perfbench/spans.py)
+anisotropic_norm = grids.anisotropic_norm
 
 _SIGMA_THETA_TOL = 1e-9
 
@@ -145,23 +142,26 @@ def critical_zone(u: GridFunction, rho: float, alpha: float, region: Region) -> 
     return ZoneClassification(mask=flags, fraction=fraction, node_count=total)
 
 
+# An oscillation_profile at the rescaled origin has lambda < 1/2, and its
+# level-1 depth lambda^(sigma theta) stays under 1/4 because
+# corrected_cylinder raises unless sigma theta >= 2: no level reads a node
+# past |y| = 1/2 or a slice before s = -1/4.
+_WINDOW_RADIUS = 0.5
+_WINDOW_DEPTH = 0.25
+
+
 @dataclass(frozen=True)
 class RescaledProblem:
-    """Rescaled solution/source pair with the scale bookkeeping.
+    """The gradient-scale rescaling v of a solution around a center.
 
-    provenance "normalize": mu_or_tau is mu, kappa_or_gamma is the norm
-    contraction exponent kappa, and time was scaled by mu**time_exponent
-    with time_exponent = 2 s (p - 1).
-    provenance "outside_zone": mu_or_tau is the gradient scale
-    tau = |grad u|^(1/alpha) and kappa_or_gamma is gamma = 2 + alpha (2 - p).
+    tau = |grad u|^(1/alpha) is the gradient scale. v lives on the window
+    of the tau-cylinder grid that every `oscillation_profile` of v at the
+    origin reads: |y| <= 1/2 plus one node and s >= -1/4 minus one slice
+    (lambda < 1/2 bounds the radius, sigma theta >= 2 the depth).
     """
 
     v: GridFunction
-    g: GridFunction | None
-    mu_or_tau: float
-    kappa_or_gamma: float
-    provenance: str
-    time_exponent: float
+    tau: float
     certificates: dict = field(default_factory=dict)
 
 
@@ -177,6 +177,26 @@ def _snap_onto(x, lo: float, hi: float):
     return np.where((x > hi) & (x <= hi + tol), hi, x)
 
 
+def _window(grid: SpaceTimeGrid) -> tuple[slice, slice, SpaceTimeGrid]:
+    """(times, nodes, window): the time and per-axis node slices of a
+    tau-cylinder grid that a profile at the origin reads, and the grid on them.
+
+    Per axis the nodes out to the first one at or past |y| = 1/2, plus one;
+    in time the slices back to the first one at or before s = -1/4, plus
+    one; all of the grid where it is smaller. The window keeps the grid's h
+    and dt and its symmetry about the origin.
+    """
+    cells, steps = grid.nodes_per_axis - 1, grid.num_times - 1
+    # node offsets from the origin are multiples of h/2 with the parity of cells
+    reach = math.ceil(_WINDOW_RADIUS / (grid.h / 2) - 1e-9)
+    cut = max(0, cells - reach - (reach - cells) % 2 - 2) // 2  # nodes dropped at each end
+    back = min(steps, math.ceil(_WINDOW_DEPTH / grid.dt - 1e-9) + 1)
+    times, nodes = slice(steps - back, None), slice(cut, cells + 1 - cut)
+    window = SpaceTimeGrid(n=grid.n, extent=-float(grid.axis_nodes()[cut]), h=grid.h, dt=grid.dt,
+                           t_start=float(grid.times()[times.start]), t_end=0.0)
+    return times, nodes, window
+
+
 def _resample(
     u: GridFunction,
     anchor_x: np.ndarray,
@@ -188,26 +208,26 @@ def _resample(
     target_extent: float,
     target_depth: float,
 ) -> GridFunction:
-    """amplitude * (u(anchor + scale * y) - offset) on a fresh grid.
+    """amplitude * (u(anchor + scale * y) - offset) on the window of a grid.
 
-    The fresh grid keeps the node counts of u; its coordinates are
-    y in [-target_extent, target_extent]^n, s in (-target_depth, 0].
+    The grid keeps the node counts of u; its coordinates are
+    y in [-target_extent, target_extent]^n, s in (-target_depth, 0]. Only
+    its `_window` is interpolated, at the grid's own node coordinates.
     """
     g = u.grid
-    nodes = g.nodes_per_axis - 1
-    steps = g.num_times - 1
-    new_grid = SpaceTimeGrid(
+    grid = SpaceTimeGrid(
         n=g.n,
         extent=target_extent,
-        h=2.0 * target_extent / nodes,
-        dt=target_depth / steps,
+        h=2.0 * target_extent / (g.nodes_per_axis - 1),
+        dt=target_depth / (g.num_times - 1),
         t_start=-target_depth,
         t_end=0.0,
     )
-    # the target grid is a tensor product, so multilinear interpolation is
+    times, nodes, window = _window(grid)
+    # the window is a tensor product, so multilinear interpolation is
     # linear interpolation along time and then along each spatial axis
-    targets = [anchor_t + time_scale * new_grid.times()]
-    targets += [anchor_x[a] + space_scale * y for a, y in enumerate(new_grid.spatial_axes())]
+    targets = [anchor_t + time_scale * grid.times()[times]]
+    targets += [anchor_x[a] + space_scale * y[nodes] for a, y in enumerate(grid.spatial_axes())]
     vals = u.values
     for a, (src, coords) in enumerate(zip((g.times(),) + g.spatial_axes(), targets)):
         lower, frac = locate_on_axis(src, _snap_onto(coords, src[0], src[-1]))
@@ -219,73 +239,20 @@ def _resample(
         vals += upper
     vals -= offset  # the float operations of amplitude * (vals - offset), in place
     vals *= amplitude
-    return GridFunction._adopt(new_grid, vals)
+    return GridFunction._adopt(window, vals)
 
 
-def rescale_normalize(
-    u: GridFunction,
-    f: GridFunction,
-    params: ProblemParams,
-    s: float,
-    delta: float,
-    mu: float,
-) -> RescaledProblem:
-    """Sup-normalizing rescaling v(y, s) = mu^s u(mu^s y, mu^(2s(p-1)) s).
-
-    For mu below the admissible ceiling the rescaled solution has sup at
-    most 1 and the rescaled source g = mu^((2p-1)s) f(mu^s y, mu^(2s(p-1)) s)
-    has L^(q,r) norm at most delta; both are measured and returned as
-    certificates.
-    """
-    if f.grid != u.grid:
-        raise ValueError("u and f must share a grid")
-    grid = u.grid
-    sup_u = float(np.max(np.abs(u.values)))
-    f_norm = anisotropic_norm(f, params.q, params.r, full_domain_region(grid))
-    kappa, mu_max = kappa_mu(params, s, delta, sup_u, f_norm)
-    if not (0.0 < mu <= mu_max):
-        raise ValueError(f"mu = {mu} outside (0, mu_max = {mu_max:.6g}]")
-    tau_time = 2.0 * s * (params.p - 1.0)
-    anchor_x = np.zeros(grid.n)
-    anchor_t = grid.t_end
-    spatial_cover = grid.extent / mu**s
-    time_cover = (grid.t_end - grid.t_start) / mu**tau_time
-    ext = min(1.0, spatial_cover)
-    depth = min(1.0, time_cover)
-    v = _resample(u, anchor_x, anchor_t, mu**s, mu**tau_time, mu**s, 0.0, ext, depth)
-    g = _resample(
-        f, anchor_x, anchor_t, mu**s, mu**tau_time, mu ** ((2.0 * params.p - 1.0) * s), 0.0, ext, depth
-    )
-    certificates = {
-        "sup_v": float(np.max(np.abs(v.values))),
-        "g_norm_qr": anisotropic_norm(g, params.q, params.r, full_domain_region(g.grid)),
-        "delta": delta,
-        "mu_max": mu_max,
-        "kappa_bound": mu**kappa * f_norm,
-    }
-    return RescaledProblem(
-        v=v,
-        g=g,
-        mu_or_tau=mu,
-        kappa_or_gamma=kappa,
-        provenance="normalize",
-        time_exponent=tau_time,
-        certificates=certificates,
-    )
-
-
-def rescale_outside(
-    u: GridFunction,
-    center,
-    params: ProblemParams,
-    f: GridFunction | None = None,
-) -> RescaledProblem:
+def rescale_outside(u: GridFunction, center, params: ProblemParams) -> RescaledProblem:
     """Gradient-scale rescaling around a center with |grad u| > 0.
 
     v(y, s) = (u(x0 + tau y, t0 + tau^gamma s) - u(x0, t0)) / tau^(1+alpha)
     with tau = |grad u(x0, t0)|^(1/alpha), which pins v(0,0) = 0 and
-    |grad v(0,0)| = 1 up to interpolation error. The rescaled source picks
-    up the factor tau^(1 - alpha(p-1)); its integrability exponent
+    |grad v(0,0)| = 1 up to interpolation error. The tau-cylinder
+    |y| <= ext, -depth <= s <= 0 (ext, depth <= 1, clipped by the domain)
+    carries a grid with u's node counts, and v is built on its window
+    (`_window`) only: a profile of v at the origin has lambda < 1/2 and a
+    depth under 1/4, so it reads nothing else. The rescaled source picks up
+    the factor tau^(1 - alpha(p-1)); its integrability exponent
     1 - alpha(p-1) - (n/q + gamma/r) is nonnegative for admissible
     parameters and returned in the certificates.
     """
@@ -311,11 +278,6 @@ def rescale_outside(
     if ext <= 0.0 or depth <= 0.0:
         raise ValueError("tau-cylinder does not fit inside the solution domain")
     v = _resample(u, x0, t0, tau, tau**gamma, tau ** (-(1.0 + alpha)), u0, ext, depth)
-    g = None
-    if f is not None:
-        if f.grid != grid:
-            raise ValueError("u and f must share a grid")
-        g = _resample(f, x0, t0, tau, tau**gamma, tau ** (1.0 - alpha * (params.p - 1.0)), 0.0, ext, depth)
     source_exponent = (
         1.0
         - alpha * (params.p - 1.0)
@@ -329,12 +291,4 @@ def rescale_outside(
         "grad_v_at_origin": float(np.sqrt(np.sum(grad_v * grad_v))),
         "source_exponent": source_exponent,
     }
-    return RescaledProblem(
-        v=v,
-        g=g,
-        mu_or_tau=tau,
-        kappa_or_gamma=gamma,
-        provenance="outside_zone",
-        time_exponent=gamma,
-        certificates=certificates,
-    )
+    return RescaledProblem(v=v, tau=tau, certificates=certificates)

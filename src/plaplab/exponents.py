@@ -258,20 +258,6 @@ def mu_ceiling(s: float, kappa: float, delta: float, sup_u: float, f_norm: float
     return min(terms)
 
 
-def kappa_mu(
-    params: ProblemParams, s: float, delta: float, sup_u: float, f_norm: float
-) -> tuple[float, float]:
-    """(kappa, mu_max) for normalizing a solution to unit sup and delta-small source."""
-    if not s > 0.0:
-        raise ValueError(f"s must be positive, got {s}")
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    if sup_u < 0.0 or f_norm < 0.0:
-        raise ValueError("sup_u and f_norm must be nonnegative")
-    kappa = kappa_exponent(params, s)
-    return kappa, mu_ceiling(s, kappa, delta, sup_u, f_norm)
-
-
 @dataclass(frozen=True)
 class LayerReport:
     """Sharp exponent along one epsilon-layer of the integrability region.

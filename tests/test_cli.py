@@ -353,6 +353,10 @@ BAD_FIELDS = [
     ("probe", {}, "probe.K", True, "probe.K"),
     ("probe", {}, "probe.K", 5.5, "probe.K"),
     ("probe", {"probe": {"centers": []}}, "probe.max_centers", "four", "probe.max_centers"),
+    ("probe", {"probe": {"centers": []}}, "probe.max_centers", -1,
+     "probe.max_centers: must be at least 1, got -1"),
+    ("probe", {"probe": {"centers": []}}, "probe.max_centers", 0,
+     "probe.max_centers: must be at least 1, got 0"),
     ("probe", {}, "probe.centers", [[0.0, math.nan]], "probe.centers[0][1]"),
     ("probe", {}, "probe.centers", [[]], "probe.centers[0]: expected a list of 2 numbers"),
     ("probe", {}, "probe.centers", [[0.0, 0.05], [5]], "probe.centers[1]: expected a list of 2 numbers"),

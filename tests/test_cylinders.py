@@ -2,20 +2,18 @@ import numpy as np
 import pytest
 
 from plaplab.cylinders import (
+    _WINDOW_DEPTH,
+    _WINDOW_RADIUS,
+    _resample,
+    _window,
     corrected_cylinder,
     critical_zone,
     intrinsic_cylinder,
-    rescale_normalize,
     rescale_outside,
 )
 from plaplab.exponents import INF, ProblemParams, sharp_exponents
-from plaplab.grids import (
-    GridFunction,
-    Region,
-    SpaceTimeGrid,
-    anisotropic_norm,
-    full_domain_region,
-)
+from plaplab.grids import GridFunction, Region, SpaceTimeGrid
+from plaplab.probe import UnresolvableCylinderError, fit_exponent, oscillation_profile
 from plaplab.solver import reference_solutions
 
 HEAT = ProblemParams(p=2.0, n=1, q=8.0, r=8.0)
@@ -131,77 +129,6 @@ def test_critical_zone_monotone_in_rho():
 
 
 # ---------------------------------------------------------------------------
-# normalizing rescale
-
-def test_rescale_normalize_identity():
-    g = unit_grid(h=1 / 32, dt=1 / 128)
-    u = GridFunction.from_callable(g, lambda x, t: 0.5 * np.cos(x))
-    f = GridFunction(g, np.zeros(g.shape))
-    out = rescale_normalize(u, f, HEAT, s=1.0, delta=0.1, mu=1.0)
-    assert out.certificates["sup_v"] <= 1.0 + 1e-12
-    assert out.certificates["g_norm_qr"] == 0.0
-    # mu = 1 reproduces the field on the fresh grid exactly at shared nodes
-    assert out.v.values == pytest.approx(u.values, abs=1e-12)
-
-
-def test_rescale_normalize_certificates_hold():
-    g = unit_grid(h=1 / 32, dt=1 / 128)
-    u = GridFunction.from_callable(g, lambda x, t: 3.0 * np.cos(2 * x) + t)
-    f = GridFunction(g, np.full(g.shape, 2.0))
-    delta, s = 0.05, 1.0
-    out = rescale_normalize(u, f, HEAT, s=s, delta=delta, mu=None or 0.9 * _mu_max(u, f, HEAT, s, delta))
-    assert out.certificates["sup_v"] <= 1.0 + 1e-9
-    assert out.certificates["g_norm_qr"] <= delta * (1.0 + 1e-9)
-
-
-def _mu_max(u, f, params, s, delta):
-    from plaplab.exponents import kappa_mu
-
-    sup_u = float(np.max(np.abs(u.values)))
-    f_norm = anisotropic_norm(f, params.q, params.r, full_domain_region(u.grid))
-    return kappa_mu(params, s, delta, sup_u, f_norm)[1]
-
-
-def test_rescale_normalize_constant_source_contraction():
-    # for constant f the norm scaling is exact, so the kappa bound is sharp
-    g = unit_grid(h=1 / 32, dt=1 / 128)
-    u = GridFunction.from_callable(g, lambda x, t: 0.4 * np.cos(x))
-    f = GridFunction(g, np.full(g.shape, 1.5))
-    s, delta = 0.7, 0.2
-    mu = 0.8 * _mu_max(u, f, HEAT, s, delta)
-    out = rescale_normalize(u, f, HEAT, s=s, delta=delta, mu=mu)
-    f_norm = anisotropic_norm(f, HEAT.q, HEAT.r, full_domain_region(g))
-    assert out.certificates["g_norm_qr"] <= mu**out.kappa_or_gamma * f_norm * (1.0 + 1e-9)
-
-
-def test_rescale_normalize_heat_time_exponent():
-    g = unit_grid(h=1 / 32, dt=1 / 128)
-    u = GridFunction(g, np.zeros(g.shape))
-    f = GridFunction(g, np.zeros(g.shape))
-    out = rescale_normalize(u, f, HEAT, s=1.0, delta=0.1, mu=0.5)
-    assert out.time_exponent == pytest.approx(2.0)  # parabolic scaling at p = 2
-
-
-def test_rescale_normalize_rejects_large_mu():
-    g = unit_grid(h=1 / 32, dt=1 / 128)
-    u = GridFunction(g, np.full(g.shape, 4.0))  # sup 4 forces mu_max < 1
-    f = GridFunction(g, np.zeros(g.shape))
-    with pytest.raises(ValueError):
-        rescale_normalize(u, f, HEAT, s=1.0, delta=0.1, mu=0.9)
-
-
-def test_rescale_affine_stays_affine():
-    g = unit_grid(h=1 / 32, dt=1 / 128)
-    u = GridFunction.from_callable(g, lambda x, t: 0.2 + 0.3 * x)
-    f = GridFunction(g, np.zeros(g.shape))
-    out = rescale_normalize(u, f, HEAT, s=1.0, delta=0.1, mu=0.5)
-    # v(x) = mu (0.2 + 0.3 mu x): still affine with the rescaled coefficients
-    x = out.v.grid.axis_nodes()
-    expected = 0.5 * (0.2 + 0.3 * 0.5 * x)
-    assert out.v.values[-1] == pytest.approx(expected, abs=1e-10)
-
-
-# ---------------------------------------------------------------------------
 # gradient-scale rescale
 
 def heat_like_solution():
@@ -220,7 +147,7 @@ def test_rescale_outside_gradient_normalization():
     out = rescale_outside(u, ((0.0,), 0.0), HEAT)  # gradient pi at the origin
     assert out.certificates["v_at_origin"] == pytest.approx(0.0, abs=1e-12)
     assert out.certificates["grad_v_at_origin"] == pytest.approx(1.0, abs=5e-3)
-    assert out.kappa_or_gamma == pytest.approx(2.0)  # p = 2
+    assert out.tau == pytest.approx(np.pi ** (1.0 / sharp_exponents(HEAT).alpha), rel=1e-3)
 
 
 def test_rescale_outside_source_exponent_sign():
@@ -251,19 +178,6 @@ def test_rescale_outside_affine_stays_affine_with_unit_gradient():
     assert out.certificates["grad_v_at_origin"] == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("params", [HEAT, DEGEN])
-def test_rescale_outside_scales_a_constant_source_by_its_factor(params):
-    # g = tau^(1 - alpha(p-1)) f(x0 + tau y, t0 + tau^gamma s) is constant for constant f
-    g = unit_grid(h=1 / 128, dt=1 / 512)
-    u = GridFunction.from_callable(g, lambda x, t: 0.9 * x + 0.4)
-    c = -0.37
-    out = rescale_outside(u, ((0.1,), -0.25), params, f=GridFunction(g, np.full(g.shape, c)))
-    tau, alpha = out.mu_or_tau, sharp_exponents(params).alpha
-    want = c * tau ** (1.0 - alpha * (params.p - 1.0))
-    assert out.g.grid == out.v.grid
-    assert np.max(np.abs(out.g.values - want)) <= 1e-12 * abs(want)
-
-
 def test_rescale_outside_clipped_cylinders_stay_on_the_grid():
     # the tau-cylinder of every center here is clipped by the domain in space
     # or time, so the resampled grid reaches the domain edge; rounding used to
@@ -277,8 +191,6 @@ def test_rescale_outside_clipped_cylinders_stay_on_the_grid():
 
 
 def test_resample_still_rejects_points_off_the_grid():
-    from plaplab.cylinders import _resample
-
     g = unit_grid(h=1 / 64, dt=1 / 256)
     u = GridFunction.from_callable(g, lambda x, t: np.sin(np.pi * x))
     with pytest.raises(ValueError):  # reaches x = 1.4, far past the edge x = 1
@@ -288,7 +200,8 @@ def test_resample_still_rejects_points_off_the_grid():
 
 
 def _resample_reference(u, anchor_x, anchor_t, space_scale, time_scale, amplitude, offset, ext, depth):
-    """_resample computed point by point with scipy's multilinear interpolator."""
+    """The whole tau-cylinder grid and the resampled field on all of it,
+    computed point by point with scipy's multilinear interpolator."""
     from scipy.interpolate import RegularGridInterpolator
 
     from plaplab.cylinders import _snap_onto
@@ -305,6 +218,12 @@ def _resample_reference(u, anchor_x, anchor_t, space_scale, time_scale, amplitud
     return new, (amplitude * (rgi(pts) - offset)).reshape(new.shape)
 
 
+def _on_window(grid, values):
+    """The window of a tau-cylinder grid and the values on its nodes."""
+    times, nodes, window = _window(grid)
+    return window, values[(times,) + (nodes,) * grid.n]
+
+
 @pytest.mark.parametrize(
     "n, anchor_x, anchor_t, scales",
     [
@@ -315,8 +234,6 @@ def _resample_reference(u, anchor_x, anchor_t, space_scale, time_scale, amplitud
     ],
 )
 def test_resample_matches_scipy_interpolation(n, anchor_x, anchor_t, scales):
-    from plaplab.cylinders import _resample
-
     h = 1 / 64 if n == 1 else 1 / 16
     g = unit_grid(n=n, h=h, dt=1 / 128)
     u = GridFunction.from_callable(
@@ -328,15 +245,13 @@ def test_resample_matches_scipy_interpolation(n, anchor_x, anchor_t, scales):
     depth = min(1.0, (anchor_t - g.t_start) / time_scale)
     args = (u, anchor_x, anchor_t, space_scale, time_scale, 1.7, 0.3, ext, depth)
     got = _resample(*args)
-    new, want = _resample_reference(*args)
-    assert got.grid == new
+    window, want = _on_window(*_resample_reference(*args))
+    assert got.grid == window
     scale = float(np.max(np.abs(want)))
     assert np.max(np.abs(got.values - want)) <= 1e-12 * scale
 
 
 def test_resample_of_a_clipped_tau_cylinder_matches_scipy_interpolation():
-    from plaplab.cylinders import _resample
-
     # centers of the 61-center sweep whose tau-cylinder rescale_outside clips
     # at the domain's initial time
     g = SpaceTimeGrid(n=1, extent=1.0, h=1 / 128, dt=2e-4, t_start=0.0, t_end=0.25)
@@ -347,9 +262,87 @@ def test_resample_of_a_clipped_tau_cylinder_matches_scipy_interpolation():
         ext, depth = min(1.0, (1.0 - abs(x0)) / tau), 0.25 / tau**2
         assert depth < 1.0
         args = (u, np.array([x0]), 0.25, tau, tau**2, tau ** (-(1.0 + alpha)), 0.0, ext, depth)
-        _, want = _resample_reference(*args)
+        _, want = _on_window(*_resample_reference(*args))
         got = _resample(*args).values
         assert np.max(np.abs(got - want)) <= 1e-12 * float(np.max(np.abs(want)))
+
+
+P2 = ProblemParams(p=2.0, n=1, q=INF, r=4.0)
+P3 = ProblemParams(p=3.0, n=1, q=INF, r=4.0, alpha_h=1.0)
+
+
+def _profile_or_error(v, lam, params):
+    """The affine profile of v at the origin with its fit, or the error it raises."""
+    try:
+        prof = oscillation_profile(v, ((0.0,), 0.0), lam, 4, params, mode="affine")
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return prof, fit_exponent(prof)
+
+
+@pytest.mark.parametrize("params, slope", [(P2, 0.8), (P3, 0.85)])
+@pytest.mark.parametrize("center, clipped", [(((0.1,), 0.62), False), (((0.6,), 0.35), True)])
+def test_the_window_holds_every_profile_of_the_whole_rescaled_field(params, slope, center, clipped):
+    # 3100 steps: no level's depth is a whole number of v's slices plus a half,
+    # where the window's and the whole grid's times, which can differ in the
+    # last bit, would round a tie apart
+    g = SpaceTimeGrid(n=1, extent=1.0, h=1 / 64, dt=2e-4, t_start=0.0, t_end=0.62)
+    u = GridFunction.from_callable(
+        g, lambda x, t: slope * x + 0.5 * (x - 0.35) ** 2 + 0.1 * np.sin(6.0 * x) * t)
+    out = rescale_outside(u, center, params)
+    exps = sharp_exponents(params)
+    x0, t0 = np.array(center[0]), center[1]
+    tau = out.tau
+    ext = min(1.0, (1.0 - abs(x0[0])) / tau)
+    depth = min(1.0, t0 / tau**exps.gamma)
+    assert (ext < 1.0) == clipped and depth > _WINDOW_DEPTH and ext > _WINDOW_RADIUS
+    full_grid, full = _resample_reference(u, x0, t0, tau, tau**exps.gamma, tau ** (-(1.0 + exps.alpha)),
+                                          u.value_at(x0, t0), ext, depth)
+    assert out.v.values.size < full.size  # the window is a proper part of the tau-cylinder
+    whole = GridFunction(full_grid, full)
+    for lam in (0.25, 0.45, 0.49):
+        got, want = _profile_or_error(out.v, lam, params), _profile_or_error(whole, lam, params)
+        if lam == 0.25:
+            # K = 4 levels at lambda = 1/4 need ~2e5 slices of a unit-depth cylinder;
+            # both fields reject the profile alike
+            assert got == want and got[0] is UnresolvableCylinderError
+            continue
+        (prof, fit), (ref, ref_fit) = got, want
+        for e, r in zip(prof.entries, ref.entries, strict=True):
+            assert e.k == r.k and e.rho == r.rho and e.depth == r.depth
+            assert e.rho_eff == pytest.approx(r.rho_eff, rel=1e-10)
+            assert e.sup_osc == pytest.approx(r.sup_osc, rel=1e-10)
+        assert fit.slope == pytest.approx(ref_fit.slope, rel=1e-10)
+
+
+def test_the_rescaled_field_holds_a_fraction_of_the_nodes():
+    # the grid of the probe sweep's 1D heat field, with an unclipped tau-cylinder
+    g = SpaceTimeGrid(n=1, extent=1.0, h=1 / 128, dt=2e-4, t_start=-0.2, t_end=0.25)
+    u = GridFunction.from_callable(g, lambda x, t: 0.7 * x + 0.2 * np.cos(3.0 * x) * np.exp(-t))
+    out = rescale_outside(u, ((0.1,), 0.25), P2)
+    assert out.tau < 0.45 ** 0.5  # so the tau-cylinder is the whole unit cylinder
+    assert out.v.values.size <= 0.15 * u.values.size
+
+
+@pytest.mark.parametrize("cells", [256, 255, 40, 7])
+def test_the_window_is_symmetric_and_holds_every_level(cells):
+    ext, depth = 0.9, 0.8
+    grid = SpaceTimeGrid(n=2, extent=ext, h=2.0 * ext / cells, dt=depth / 300, t_start=-depth, t_end=0.0)
+    times, nodes, window = _window(grid)
+    axis, ts = grid.axis_nodes(), grid.times()
+    assert nodes.start + nodes.stop - 1 == cells  # the same nodes dropped at each end
+    assert window.h == grid.h and window.dt == grid.dt
+    assert window.shape == (len(ts[times]),) + (len(axis[nodes]),) * 2
+    assert window.axis_nodes() == pytest.approx(axis[nodes], abs=1e-15)
+    assert window.times() == pytest.approx(ts[times], abs=1e-15)
+    # every node of the box of a radius-1/2 ball and every slice of a depth-1/4 cylinder
+    kept = np.zeros(axis.size, dtype=bool)
+    kept[nodes] = True
+    assert kept[np.abs(axis) <= _WINDOW_RADIUS + grid.h / 2].all()
+    assert ts[times][0] < -_WINDOW_DEPTH - grid.dt / 2 or times.start == 0
+    # and only one node and one slice past them
+    assert np.abs(axis[nodes]).max() < _WINDOW_RADIUS + 2.0 * grid.h
+    assert ts[times][0] > -_WINDOW_DEPTH - 2.0 * grid.dt
 
 
 def test_rescale_outside_rejects_flat_center():

@@ -14,7 +14,6 @@ from plaplab.exponents import (
     check_compatibility_values,
     epsilon_layers,
     kappa_exponent,
-    kappa_mu,
     mu_ceiling,
     sharp_exponents,
     singular_band_level,
@@ -261,8 +260,7 @@ def test_theta_bounds_singular_range():
 
 def test_kappa_bounded_source():
     params = ProblemParams(p=2.0, n=2, q=INF, r=INF)
-    kappa, _ = kappa_mu(params, 1.0, 0.1, 0.0, 0.0)
-    assert kappa == pytest.approx(3.0, abs=1e-15)
+    assert kappa_exponent(params, 1.0) == pytest.approx(3.0, abs=1e-15)
 
 
 def test_kappa_frozen_value():
@@ -276,14 +274,6 @@ def test_mu_ceiling_three_terms():
 
 def test_mu_ceiling_degenerate_terms_ignored():
     assert mu_ceiling(s=1.0, kappa=2.0, delta=0.5, sup_u=0.0, f_norm=0.0) == 1.0
-
-
-def test_kappa_mu_rejects_bad_inputs():
-    params = ProblemParams(p=2.0, n=2, q=8.0, r=8.0)
-    with pytest.raises(ValueError):
-        kappa_mu(params, 0.0, 0.1, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        kappa_mu(params, 1.0, 0.0, 1.0, 1.0)
 
 
 @settings(max_examples=200, deadline=None)

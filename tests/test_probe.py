@@ -261,7 +261,7 @@ def _center_results(u, center):
     reports.append(check_pointwise_c1alpha(u, center, HEAT, LAM, K))
     if not reports[-1].critical:
         out = rescale_outside(u, center, HEAT)
-        reports.append((out.certificates, out.mu_or_tau, out.v.values.tobytes()))
+        reports.append((out.certificates, out.tau, out.v.values.tobytes()))
     return reports
 
 
