@@ -13,14 +13,20 @@ quartiles, the relative change of the medians and the number of pairs in
 which the change read lower. --workload may repeat; the workloads run one
 after another.
 
-This only drives perfbench and reads the result line it prints; it
-measures nothing itself.
+The metrics are those of perfbench's result line. The one number this
+script measures itself is each run's CPU time, `cpu_s`: the user plus
+system seconds of the perfbench process and the children it waited for
+(the change in RUSAGE_CHILDREN across the run), kept beside the run's
+metrics and reported as a median per side. A wall-clock metric that moves
+while `cpu_s` does not points at the host (CPU steal, other load), not at
+the code. It is a reading, not a gate.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -44,10 +50,14 @@ def parse_result(stdout: str) -> dict:
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, timeout=900)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: perfbench exited {proc.returncode}\n{proc.stderr[-2000:]}")
-    return parse_result(proc.stdout)
+    result = parse_result(proc.stdout)
+    result["cpu_s"] = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    return result
 
 
 def summarize(pairs: list[dict]) -> dict:
@@ -80,7 +90,9 @@ def bench(parent: Path, change: Path, workload: str, pairs: int, seed: int,
         runs.append(pair)
         print(f"{workload} pair {i + 1}/{pairs} seed {seed + i}", file=sys.stderr)
     failed = {side: sum(p[side]["failed"] for p in runs) for side in SIDES}
-    return {"seconds": seconds, "failed_ops": failed, "pairs": runs, "summary": summarize(runs)}
+    cpu = {side: statistics.median(p[side]["cpu_s"] for p in runs) for side in SIDES}
+    return {"seconds": seconds, "failed_ops": failed, "cpu_s_median": cpu, "pairs": runs,
+            "summary": summarize(runs)}
 
 
 def main(argv=None) -> int:

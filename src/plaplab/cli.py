@@ -42,6 +42,7 @@ EXIT_SOLVER = 3
 EXIT_PROBE = 4
 EXIT_NUMERIC = 5  # an ArithmeticError: a numerical guard such as sigma*theta >= 2 tripped
 _REQUIRED = object()  # the default of a _num field without one
+_MAX_RESOLUTION = 512  # region.resolution: bounds the scan's resolution^2 samples
 # the fields the CLI reads, per block path ("" is the top level)
 _FIELDS = {
     "": {"scenario", "params", "grid", "solve", "source", "probe", "region", "output_dir", "seed"},
@@ -97,6 +98,14 @@ def _restated(block: dict, key: str, path: str, params, default=_REQUIRED, integ
     if key in block and _num(block, key, path, integer=integer) != given:
         raise ConfigError(f"{path}.{key}", f"disagrees with params.{key} = {given}")
     return given
+
+
+def _string(block: dict, key: str, default: str) -> str:
+    """The string block[key] of the top level, or default when absent."""
+    val = block.get(key, default)
+    if not isinstance(val, str):
+        raise ConfigError(key, f"expected a string, got {type(val).__name__}")
+    return val
 
 
 def _known_fields(block: dict, path: str) -> None:
@@ -161,7 +170,7 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("$", "top level must be an object")
     _known_fields(raw, "")
 
-    scenario = raw.get("scenario", "unnamed")
+    scenario = _string(raw, "scenario", "unnamed")
     params = None
     blk = _object(raw, "params", "params")
     if blk is not None:
@@ -213,11 +222,14 @@ def load_config(path) -> ExperimentConfig:
             gradient=gradient,
             name=name,
         )
+        scheme = blk.get("scheme", "semi_implicit")
+        if scheme not in ("semi_implicit", "explicit"):
+            raise ConfigError("solve.scheme", f"unknown scheme {scheme!r}")
         with _block_errors("solve"):
             solve_config = SolveConfig(
                 p=_restated(blk, "p", "solve", params),
                 eps_reg=_num(blk, "eps_reg", "solve", default=None),
-                scheme=blk.get("scheme", "semi_implicit"),
+                scheme=scheme,
                 boundary=boundary,
             )
         init = _object(blk, "initial", "solve.initial", {})
@@ -243,9 +255,7 @@ def load_config(path) -> ExperimentConfig:
                 r=_num(blk, "r", "source", default=params.r if params else math.inf),
             )
 
-    output_dir = raw.get("output_dir", "out")
-    if not isinstance(output_dir, str):
-        raise ConfigError("output_dir", f"expected a string, got {type(output_dir).__name__}")
+    output_dir = _string(raw, "output_dir", "out")
     return ExperimentConfig(
         scenario=scenario,
         params=params,
@@ -345,13 +355,14 @@ def run_region(cfg: ExperimentConfig, out_dir: Path) -> dict:
     p = _restated(blk, "p", "region", cfg.params)
     n = _restated(blk, "n", "region", cfg.params, integer=True)
     resolution = _num(blk, "resolution", "region", default=32, integer=True)
-    scan = expo.admissible_region(
-        p,
-        n,
-        resolution,
-        q_max=_num(blk, "q_max", "region", default=None),
-        r_max=_num(blk, "r_max", "region", default=None),
-    )
+    if not 2 <= resolution <= _MAX_RESOLUTION:
+        raise ConfigError("region.resolution", f"must lie in [2, {_MAX_RESOLUTION}], got {resolution}")
+    # the scan samples q over (n, q_max] and r over (2, r_max]
+    q_max, r_max = (_num(blk, key, "region", default=None) for key in ("q_max", "r_max"))
+    for key, val, low in (("q_max", q_max, n), ("r_max", r_max, 2)):
+        if val is not None and not low < val < math.inf:
+            raise ConfigError(f"region.{key}", f"must be finite and exceed {low}, got {val}")
+    scan = expo.admissible_region(p, n, resolution, q_max=q_max, r_max=r_max)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = [[repr(s.q), repr(s.r), repr(s.band), int(s.admissible), s.violation] for s in scan.samples]
     _write_csv(out_dir / "region.csv", ["q", "r", "n_over_q_plus_2_over_r", "admissible", "violation"],

@@ -10,11 +10,13 @@ interpolates along one axis at a time. Region reductions read a region's
 nodes as one cropped (time, box) block (`Region.block`) and reduce it over
 axes; every region integral takes its weights from `Region.quadrature`.
 Grid functions are immutable after construction, and every operation here
-is pure in its results. The one piece of state is a grid function's
-private memo of what the probe computes at its most recent center: the
-cylinder blocks `sup_oscillation` reduced, the point value and gradient,
-and the noise floor (see `GridFunction`). It changes only how often they
-are computed.
+is pure in its results. A grid function holds two pieces of private state,
+and both change only how often something is computed (see `GridFunction`):
+a memo of what the probe computes at its most recent center (the cylinder
+blocks `sup_oscillation` reduced, the point value and gradient, and the
+noise floor), and a table of per-node max and min over aligned blocks of
+`_TIME_BLOCK` time slices, from which a reduction over a long time range
+takes its whole blocks.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _ALIGN_TOL = 1e-9
+_TIME_BLOCK = 64  # slices per block of a grid function's block-extremes table
 
 
 @dataclass(frozen=True)
@@ -119,9 +122,19 @@ class GridFunction:
     exact. The memo is one immutable (center, entries) pair, replaced and
     never edited, so concurrent profiles of different centers on one field
     stay correct and can only lose the sharing.
+
+    A second private slot holds the field's block-extremes table (see
+    `_block_table`): the per-node max and min over each aligned block of
+    `_TIME_BLOCK` slices, built on the first time reduction that spans at
+    least two whole blocks and kept for the field's life. It holds at most
+    2/64 of the field's bytes. Such a reduction takes the max and min of its
+    whole blocks from the table and reduces only the slices of its partial
+    first and last blocks; max and min are exact, so the result is the
+    direct reduction's. Like the memo it is read-only and published
+    with one store, so concurrent builders can only repeat the work.
     """
 
-    __slots__ = ("grid", "values", "_memo")
+    __slots__ = ("grid", "values", "_memo", "_blocks")
 
     def __init__(self, grid: SpaceTimeGrid, values: np.ndarray):
         self._freeze(grid, np.array(values, dtype=float, order="C"))
@@ -145,6 +158,7 @@ class GridFunction:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_memo", (None, {}))
+        object.__setattr__(self, "_blocks", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GridFunction is immutable")
@@ -463,6 +477,42 @@ def _center_point(u: GridFunction, x0: np.ndarray, t0: float) -> tuple[float, np
     return _at_center(u, x0, t0, "point", build)
 
 
+def _block_table(u: GridFunction) -> np.ndarray:
+    """u's block-extremes table, built on first use: shape (2, blocks) plus
+    the spatial shape, row 0 the per-node max and row 1 the min over slices
+    [b * _TIME_BLOCK, (b + 1) * _TIME_BLOCK) of each whole block b."""
+    table = u._blocks  # one load: a concurrent build publishes a whole table
+    if table is None:
+        blocks = u.grid.num_times // _TIME_BLOCK
+        whole = u.values[:blocks * _TIME_BLOCK].reshape(
+            (blocks, _TIME_BLOCK) + u.grid.spatial_shape)
+        table = np.empty((2, blocks) + u.grid.spatial_shape)
+        whole.max(axis=1, out=table[0])
+        whole.min(axis=1, out=table[1])
+        table.setflags(write=False)
+        object.__setattr__(u, "_blocks", table)
+    return table
+
+
+def _time_max_min(u: GridFunction, blk: RegionBlock) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node max and min of u over blk.times on blk.box. A range that
+    spans at least two whole aligned blocks reads them from u's block table
+    and reduces only the slices of its partial first and last blocks."""
+    start, stop = blk.times.start, blk.times.stop
+    first, last = -(-start // _TIME_BLOCK), stop // _TIME_BLOCK  # whole blocks [first, last)
+    if last - first < 2:
+        block = u.values[blk.index]
+        return block.max(axis=0), block.min(axis=0)
+    rows = _block_table(u)[(slice(None), slice(first, last)) + blk.box]
+    hi, lo = rows[0].max(axis=0), rows[1].min(axis=0)
+    for part in (slice(start, first * _TIME_BLOCK), slice(last * _TIME_BLOCK, stop)):
+        if part.start < part.stop:
+            block = u.values[(part,) + blk.box]
+            np.maximum(hi, block.max(axis=0), out=hi)
+            np.minimum(lo, block.min(axis=0), out=lo)
+    return hi, lo
+
+
 def _time_extremes(u: GridFunction, region: Region, x0: np.ndarray,
                    t0: float) -> tuple[RegionBlock, np.ndarray]:
     """(block, extremes): the region's block on u's grid and the stacked
@@ -474,11 +524,11 @@ def _time_extremes(u: GridFunction, region: Region, x0: np.ndarray,
         blk = region.block(u.grid)
         if not blk.mask.any():
             raise ValueError("region contains no spatial nodes")
-        block = u.values[blk.index]
         # at each node, fl(fl(v - ref) - plane) is monotone in v, so its largest
         # magnitude over time sits at the node's max or min over time: reducing
         # over time first gives the same float as the whole block would
-        extremes = np.stack([block.max(axis=0)[blk.mask], block.min(axis=0)[blk.mask]])
+        hi, lo = _time_max_min(u, blk)
+        extremes = np.stack([hi[blk.mask], lo[blk.mask]])
         extremes.setflags(write=False)
         return blk, extremes
     return _at_center(u, x0, t0, _region_key(region), build)

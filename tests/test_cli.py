@@ -2,15 +2,19 @@ import dataclasses
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from plaplab import cli, cylinders, probe
 from plaplab.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
+    EXIT_PROBE,
     EXIT_SOLVER,
     EXIT_VALIDATION,
     ConfigError,
@@ -325,6 +329,15 @@ def test_tripped_numerical_guard_exits_with_its_own_code(tmp_path, capsys, monke
     assert "numerical guard tripped: sigma*theta = " in capsys.readouterr().err
 
 
+def test_unresolvable_probe_levels_exit_as_a_probe_failure(tmp_path, capsys):
+    # at h = 1/16 the level-8 radius 0.25^8 holds a single node per axis
+    cfg = json.loads(json.dumps(SOLVE_CFG))
+    cfg["probe"] = {"lambda": 0.25, "K": 8, "mode": "affine", "centers": [[0.0, 0.0625]]}
+    path = write_config(tmp_path, cfg)
+    assert main(["probe", str(path), "--out", str(tmp_path / "out")]) == EXIT_PROBE == 4
+    assert "probe failure: smallest cylinder radius" in capsys.readouterr().err
+
+
 BAD_FIELDS = [
     # (subcommand, entries set first as {block: {key: value}}, the bad field's
     #  dotted path, its bad value, what the error must name)
@@ -445,3 +458,88 @@ def test_failed_validation_exit_code(tmp_path, capsys, monkeypatch):
     assert "validation battery failed" in capsys.readouterr().err
     checks = json.loads((out / "summary.json").read_text())["checks"]
     assert [name for name, ok in checks.items() if not ok] == ["constant_norm_exact"]
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+BUNDLED = {"exponent": "exponent_heat.json", "region": "region_singular.json",
+           "solve": "solve_heat_singular.json", "probe": "probe_heat_singular.json"}
+
+
+def _leaves(value, path=()):
+    """(path, value) of every number or string in a config, path as keys and list indices."""
+    if isinstance(value, dict):
+        return [leaf for key, v in value.items() for leaf in _leaves(v, path + (key,))]
+    if isinstance(value, list):
+        return [leaf for i, v in enumerate(value) for leaf in _leaves(v, path + (i,))]
+    return [(path, value)]
+
+
+def _field_path(path):
+    """A config path as the CLI names it: probe.centers[0][1]."""
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path).lstrip(".")
+
+
+NOT_A_NUMBER = st.one_of(
+    st.text(max_size=4).filter(lambda s: s.lower() not in ("inf", "infinity")),
+    st.booleans(), st.none(), st.just([1.0]), st.just({}), st.just(math.nan))
+NOT_A_STRING = st.one_of(st.integers(), st.floats(allow_nan=False), st.booleans(), st.none(),
+                         st.just(["x"]), st.just({}))
+# fields whose range the CLI checks itself, with values outside it
+OUT_OF_RANGE = {
+    "probe.lambda": st.one_of(st.floats(max_value=0.0), st.floats(min_value=0.5)),
+    "probe.K": st.integers(max_value=3),
+    "probe.centers[0][0]": st.one_of(st.floats(max_value=-1.001), st.floats(min_value=1.001)),
+    "probe.centers[0][1]": st.one_of(st.floats(max_value=-0.001), st.floats(min_value=0.251)),
+    "region.resolution": st.one_of(st.integers(max_value=1), st.integers(min_value=513)),
+    "region.q_max": st.one_of(st.floats(max_value=2.0), st.just(math.inf)),
+    "region.r_max": st.one_of(st.floats(max_value=2.0), st.just(math.inf)),
+    "solve.scheme": st.text(max_size=4),
+}
+# fields whose range a library constructor checks: its message names the block
+BLOCK_RANGE = {
+    "params.p": st.floats(max_value=1.0), "params.n": st.integers(max_value=0),
+    "params.q": st.floats(max_value=1.0), "params.r": st.floats(max_value=2.0),
+    "params.alpha_h": st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.001)),
+    "grid.h": st.floats(max_value=0.0), "grid.dt": st.floats(max_value=0.0),
+    "grid.t_end": st.floats(max_value=0.0), "source.q": st.floats(max_value=0.999),
+    "source.r": st.floats(max_value=0.999), "source.a": st.sampled_from([math.inf, -math.inf]),
+    "source.b": st.sampled_from([math.inf, -math.inf]),
+}
+
+
+@st.composite
+def malformed_configs(draw):
+    """(subcommand, config, the path the error must name, the bad field's path)
+    with one field of a bundled config replaced by a bad value."""
+    subcommand = draw(st.sampled_from(sorted(BUNDLED)))
+    raw = json.loads((CONFIGS / BUNDLED[subcommand]).read_text())
+    path, value = draw(st.sampled_from(_leaves(raw)))
+    name = _field_path(path)
+    kinds = ["type"] + [kind for kind, table in (("range", OUT_OF_RANGE), ("block", BLOCK_RANGE))
+                        if name in table]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "type":
+        bad = draw(NOT_A_STRING if isinstance(value, str) and value != "inf" else NOT_A_NUMBER)
+    else:
+        bad = draw((OUT_OF_RANGE if kind == "range" else BLOCK_RANGE)[name])
+    target = raw
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = bad
+    return subcommand, raw, name.split(".")[0] if kind == "block" else name, name
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=malformed_configs())
+def test_a_malformed_bundled_config_exits_2_naming_the_field(tmp_path, capsys, monkeypatch, case):
+    subcommand, raw, names, field = case
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError(f"{field} = {raw!r} reached the solve")
+
+    monkeypatch.setattr(cli.solver, "solve", no_solve)
+    path = write_config(tmp_path, raw)
+    assert main([subcommand, str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {names}")
+    assert "Traceback" not in err

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plaplab import grids
 from plaplab.grids import (
     GridFunction,
     Region,
+    RegionBlock,
     SpaceTimeGrid,
     anisotropic_norm,
     energy_norm,
@@ -458,6 +460,50 @@ def test_sup_oscillation_rejects_outside_center_of_a_memoized_region():
         with pytest.raises(ValueError, match="center must lie inside the region"):
             sup_oscillation(u, region, outside)
     assert sup_oscillation(u, region, ((0.125,), 0.125)) == 0.0
+
+
+def _range_block(start, stop, box):
+    return RegionBlock(slice(start, stop), box, np.ones([b.stop - b.start for b in box], bool), ())
+
+
+# 357 slices: five whole blocks of 64 and a partial sixth, [320, 357)
+@pytest.mark.parametrize("start, stop", [
+    (3, 60), (127, 129),  # no whole block
+    (64, 128), (60, 130),  # one whole block, alone and with a head and a tail
+    (64, 192), (10, 192), (64, 200), (63, 257),  # two or three: each of head and tail empty or not
+    (5, 357), (0, 357), (0, 320), (130, 357),  # many, ending at the last slice or a block edge
+])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_time_max_min_equals_the_direct_reduction(n, start, stop):
+    nodes = {1: 17, 2: 9, 3: 5}[n]
+    g = SpaceTimeGrid(n=n, extent=1.0, h=2.0 / (nodes - 1), dt=1.0, t_start=0.0, t_end=356.0)
+    # rounded to one decimal: ties across blocks, and zeros of both signs
+    u = GridFunction(g, np.random.default_rng(n).standard_normal(g.shape).round(1))
+    for box in ((slice(0, nodes),) * n, (slice(1, nodes - 1),) + (slice(2, nodes),) * (n - 1)):
+        blk = _range_block(start, stop, box)
+        hi, lo = grids._time_max_min(u, blk)
+        block = u.values[blk.index]
+        assert np.array_equal(hi, block.max(axis=0)) and np.array_equal(lo, block.min(axis=0))
+    assert (u._blocks is not None) == (stop // 64 - -(-start // 64) >= 2)
+
+
+def test_the_block_table_is_built_once_per_field_and_bounded():
+    g = small_grid(n=2, h=1 / 16, dt=1 / 512, t_end=0.5)  # 257 slices: four whole blocks
+    u = GridFunction(g, np.random.default_rng(5).standard_normal(g.shape))
+    first, second = ((0.0, 0.0), 0.5), ((0.25, -0.125), 0.4375)
+    short = Region(center=first[0], radius=0.3, t_start=0.5 - 100 / 512, t_end=0.5)
+    sup_oscillation(u, short, first)  # slices 156-256: one whole block, reduced directly
+    assert u._blocks is None
+    sup_oscillation(u, Region(center=first[0], radius=0.5, t_start=0.05, t_end=0.5), first)
+    table = u._blocks
+    assert table.shape == (2, 4) + g.spatial_shape
+    assert table.nbytes <= 2 / 64 * u.values.nbytes
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0, 0, 0] = 1.0
+    sup_oscillation(u, Region(center=second[0], half_widths=(0.5, 0.25), t_start=0.1, t_end=0.4375),
+                    second)
+    assert u._blocks is table  # the second center reads the first center's table
+    assert GridFunction(g, u.values)._blocks is None
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plaplab import probe
+from plaplab import grids, probe
 from plaplab.cylinders import rescale_outside
 from plaplab.exponents import INF, ProblemParams, sharp_exponents
 from plaplab.grids import GridFunction, Region, SpaceTimeGrid, _center_point
@@ -255,14 +255,47 @@ def test_profiles_of_a_center_build_and_reduce_each_cylinder_once(monkeypatch):
     assert plain == oscillation_profile(fresh, center, LAM, K, HEAT, mode="plain")
 
 
-def _center_results(u, center):
+def _center_results(u, center, params=HEAT, levels=K):
     """Everything the probe computes at a center, in comparable form."""
-    reports = [oscillation_profile(u, center, LAM, K, HEAT, mode=mode) for mode in ("affine", "plain")]
-    reports.append(check_pointwise_c1alpha(u, center, HEAT, LAM, K))
+    reports = [oscillation_profile(u, center, LAM, levels, params, mode=mode)
+               for mode in ("affine", "plain")]
+    reports.append(check_pointwise_c1alpha(u, center, params, LAM, levels))
     if not reports[-1].critical:
-        out = rescale_outside(u, center, HEAT)
+        out = rescale_outside(u, center, params)
         reports.append((out.certificates, out.tau, out.v.values.tobytes()))
     return reports
+
+
+def _direct_max_min(u, blk):
+    """The per-node max and min over time that the block-extremes table replaces."""
+    block = u.values[blk.index]
+    return block.max(axis=0), block.min(axis=0)
+
+
+def _field_2d():
+    g = SpaceTimeGrid(n=2, extent=0.5, h=1 / 64, dt=1 / 2048, t_start=-440 / 2048, t_end=0.0)
+    return GridFunction.from_callable(g, lambda x, y, t: 0.4 * x * x - 0.3 * y * y + 0.2 * x * y * t
+                                      + 0.05 * np.sin(9 * x) * (1 + t))
+
+
+@pytest.mark.parametrize("field, center, params, levels, critical", [
+    (lambda: GridFunction.from_callable(synthetic_grid(h=1 / 256), lambda x, t: 0.8 * x + 0.3 * x * x
+                                        + 0.05 * np.sin(9 * x) * t),
+     ((0.0,), 0.0), HEAT, K, False),
+    (lambda: GridFunction.from_callable(synthetic_grid(), lambda x, t: 0.4 * x * x + 0.1 * np.sin(7 * x) * t),
+     ((0.1,), -0.01), HEAT, K, True),
+    (_field_2d, ((0.0, 0.0), 0.0), ProblemParams(p=2.0, n=2, q=8.0, r=8.0), 4, True),
+], ids=["1d-noncritical", "1d-critical", "2d-critical"])
+def test_profiles_and_checks_equal_a_direct_time_reduction(monkeypatch, field, center, params, levels,
+                                                           critical):
+    u = field()
+    with monkeypatch.context() as m:
+        m.setattr(grids, "_time_max_min", _direct_max_min)
+        expected = _center_results(GridFunction(u.grid, u.values), center, params, levels)
+    got = _center_results(u, center, params, levels)
+    assert u._blocks is not None  # the long levels read the table
+    assert got[2].critical == critical
+    assert got == expected
 
 
 def test_a_center_interpolates_its_value_gradient_and_noise_floor_once(monkeypatch):

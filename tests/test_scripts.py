@@ -4,6 +4,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -77,3 +78,30 @@ def test_bench_summarizes_alternating_pairs_from_result_lines():
     assert bench.parse_result(_result_line(1.0, 2.0, failed=3))["correct"] is False
     with pytest.raises(ValueError):
         bench.parse_result("")
+
+
+def test_bench_alternates_sides_and_records_each_runs_child_cpu_seconds(monkeypatch, tmp_path):
+    bench = load_script("bench")
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    ran, clock = [], [0.0]
+    # child CPU seconds each run uses, by checkout, in run order
+    cpu = {parent: iter([2.0, 2.5, 3.0]), change: iter([1.0, 1.5, 0.5])}
+
+    def fake_run(argv, cwd, **kwargs):
+        ran.append((cwd, argv[argv.index("--seed") + 1]))
+        clock[0] += next(cpu[cwd])
+        return subprocess.CompletedProcess(argv, 0, stdout=_result_line(1.0, 2.0) + "\n", stderr="")
+
+    def fake_rusage(who):
+        assert who == bench.resource.RUSAGE_CHILDREN
+        return types.SimpleNamespace(ru_utime=0.75 * clock[0], ru_stime=0.25 * clock[0])
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench.resource, "getrusage", fake_rusage)
+    report = bench.bench(parent, change, "probe-sweep", pairs=3, seed=7, seconds=1.0)
+    assert ran == [(parent, "7"), (change, "7"), (change, "8"), (parent, "8"), (parent, "9"), (change, "9")]
+    assert [p["first"] for p in report["pairs"]] == ["parent", "change", "parent"]
+    assert [p["parent"]["cpu_s"] for p in report["pairs"]] == [2.0, 2.5, 3.0]
+    assert [p["change"]["cpu_s"] for p in report["pairs"]] == [1.0, 1.5, 0.5]
+    assert report["cpu_s_median"] == {"parent": 2.5, "change": 1.0}
+    assert set(report["summary"]) == {"wall_s", "op_ms_p90"}  # a reading, not a gated metric
