@@ -52,7 +52,7 @@ _FIELDS = {
     "solve.boundary": {"kind", "value", "gradient", "name"},
     "solve.initial": {"kind", "value"},
     "source": {"kind", "c", "a", "b", "amplitude", "q", "r"},
-    "probe": {"lambda", "K", "mode", "centers", "max_centers"},
+    "probe": {"lambda", "K", "centers", "max_centers"},
     "region": {"p", "n", "resolution", "q_max", "r_max"},
 }
 
@@ -399,7 +399,7 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> dict:
             # max(max, -min) over every node: no field-sized |u| temporary
             "sup_abs_u": float(grids.masked_abs_max(u.values, True)),
             "final_sup_abs_u": float(grids.masked_abs_max(u.values[-1], True)),
-            "source_norm_qr": solver.make_source(source, grid).norm_qr,
+            "source_norm_qr": solver.make_source(source, grid),
         },
         "files": {"solution": "solution.bin"},
     }
@@ -475,9 +475,6 @@ def run_probe(cfg: ExperimentConfig, out_dir: Path) -> dict:
     K = _num(blk, "K", "probe", default=6, integer=True)
     if K < 4:
         raise ConfigError("probe.K", f"need at least 4 dyadic levels, got {K}")
-    mode = blk.get("mode", "affine")
-    if mode not in ("plain", "affine"):
-        raise ConfigError("probe.mode", f"unknown mode {mode!r}")
     centers = _given_centers(blk, grid)
     if centers is None:
         max_centers = _num(blk, "max_centers", "probe", default=4, integer=True)
@@ -495,15 +492,9 @@ def run_probe(cfg: ExperimentConfig, out_dir: Path) -> dict:
     exps = expo.sharp_exponents(params)
 
     def one(center):
-        prof = probe.oscillation_profile(u, center, lam, K, params, mode=mode)
-        fit = probe.fit_exponent(prof)
-        plain = (
-            prof
-            if mode == "plain"
-            else probe.oscillation_profile(u, center, lam, K, params, mode="plain")
-        )
-        bound = probe.check_dyadic_bound(plain, params)
-        return prof, fit, bound
+        prof = probe.oscillation_profile(u, center, lam, K, params, mode="affine")
+        plain = probe.oscillation_profile(u, center, lam, K, params, mode="plain")
+        return prof, probe.fit_exponent(prof), probe.check_dyadic_bound(plain, params)
 
     results = [one(c) for c in centers]
 
@@ -541,7 +532,7 @@ def run_probe(cfg: ExperimentConfig, out_dir: Path) -> dict:
         "measured": {
             "lambda": lam,
             "K": K,
-            "mode": mode,
+            "mode": "affine",
             "centers": center_rows,
         },
         "files": {"profile": "profile.csv", "solution": "solution.bin"},

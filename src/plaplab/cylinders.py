@@ -47,7 +47,6 @@ class Cylinder:
     theta: float
     sigma: float
     k: int = 1
-    corrected: bool = False
 
     def as_region(self) -> Region:
         return Region(
@@ -73,7 +72,6 @@ def intrinsic_cylinder(center, rho: float, params: ProblemParams, grad_mag: floa
         theta=th,
         sigma=1.0,
         k=1,
-        corrected=False,
     )
 
 
@@ -110,7 +108,6 @@ def corrected_cylinder(
         theta=th,
         sigma=sigma,
         k=k,
-        corrected=True,
     )
 
 

@@ -43,8 +43,8 @@ def _band(n: int, q: float, r: float) -> float:
 class ProblemParams:
     """Parameter tuple (p, n, q, r, alpha_h), the single source of truth.
 
-    p: diffusion exponent, p > max(1, 2n/(n+2)); degenerate for p > 2,
-       singular for p < 2.
+    p: diffusion exponent, finite and p > max(1, 2n/(n+2)); degenerate for
+       p > 2, singular for p < 2.
     n: spatial dimension (positive integer).
     q, r: source integrability exponents, q > n, r > 2, inf allowed.
     alpha_h: gradient Hoelder exponent of the source-free flow, in (0, 1].
@@ -63,6 +63,8 @@ class ProblemParams:
         p_floor = max(1.0, 2.0 * self.n / (self.n + 2.0))
         if not self.p > p_floor:
             raise ValueError(f"p must exceed max(1, 2n/(n+2)) = {p_floor}, got {self.p}")
+        if not math.isfinite(self.p):
+            raise ValueError(f"p must be finite, got {self.p}")
         if not self.q > self.n:
             raise ValueError(f"q must exceed n = {self.n}, got {self.q}")
         if not self.r > 2.0:

@@ -305,62 +305,43 @@ def check_pointwise_c1alpha(
     target = 1.0 + alpha - slope_tol
 
     if critical:
+        tau = None
         prof = oscillation_profile(u, center, lam, K, params, mode="affine")
         fit = fit_exponent(prof)
-        m_fit = max((e.sup_osc / e.rho ** (1.0 + alpha) for e in prof.entries), default=0.0)
-        slope = fit.slope if fit else None
-        passes = (fit is None) or (fit.slope >= target)
+        m = max((e.sup_osc / e.rho ** (1.0 + alpha) for e in prof.entries), default=0.0)
         notes = "critical center, affine-mode dyadic fit"
-        return PointwiseReport(
-            center_x=tuple(float(v) for v in x0),
-            center_t=t0,
-            alpha=alpha,
-            critical=True,
-            grad_mag=gmag,
-            tau=None,
-            M=m_fit,
-            slope=slope,
-            slope_target=target,
-            passes=bool(passes),
-            notes=notes,
-            profile=prof,
-        )
-
-    if params.p < 2.0:
-        raise ValueError("outside-zone check requires p >= 2")
-    tau = gmag ** (1.0 / alpha)
-    prof = oscillation_profile(u, center, lam, K, params, mode="plain")
-    # levels with rho_k >= tau: bound with the frozen factor (1 + g tau^-alpha)
-    m_case1 = 0.0
-    for e in prof.entries:
-        if e.rho >= tau:
-            m_case1 = max(
-                m_case1, e.sup_osc / (e.rho ** (1.0 + alpha) * (1.0 + gmag * tau ** (-alpha)))
-            )
-    v = rescale_outside(u, (x0, t0), params).v
-    rfit = None
-    notes = "non-critical center, gradient-scale split"
-    try:
-        vprof = oscillation_profile(v, (np.zeros(grid.n), 0.0), lam, K, params, mode="affine")
-        rfit = fit_exponent(vprof)
-    except UnresolvableCylinderError:
-        notes += "; rescaled levels unresolvable at this grid"
-    slope = rfit.slope if rfit else None
-    passes = (rfit is None) or (rfit.slope >= target)
+    else:
+        if params.p < 2.0:
+            raise ValueError("outside-zone check requires p >= 2")
+        tau = gmag ** (1.0 / alpha)
+        prof = oscillation_profile(u, center, lam, K, params, mode="plain")
+        # levels with rho_k >= tau: bound with the frozen factor (1 + g tau^-alpha)
+        m = 0.0
+        for e in prof.entries:
+            if e.rho >= tau:
+                m = max(m, e.sup_osc / (e.rho ** (1.0 + alpha) * (1.0 + gmag * tau ** (-alpha))))
+        v = rescale_outside(u, (x0, t0), params).v
+        fit = None
+        notes = "non-critical center, gradient-scale split"
+        try:
+            vprof = oscillation_profile(v, (np.zeros(grid.n), 0.0), lam, K, params, mode="affine")
+            fit = fit_exponent(vprof)
+        except UnresolvableCylinderError:
+            notes += "; rescaled levels unresolvable at this grid"
     return PointwiseReport(
         center_x=tuple(float(v) for v in x0),
         center_t=t0,
         alpha=alpha,
-        critical=False,
+        critical=critical,
         grad_mag=gmag,
         tau=tau,
-        M=m_case1,
-        slope=slope,
+        M=m,
+        slope=fit.slope if fit else None,
         slope_target=target,
-        passes=bool(passes),
+        passes=bool(fit is None or fit.slope >= target),
         notes=notes,
         profile=prof,
-        rescaled_fit=rfit,
+        rescaled_fit=None if critical else fit,
     )
 
 

@@ -151,16 +151,8 @@ class SourceSpec:
         return space_ok and time_ok
 
 
-@dataclass(frozen=True)
-class SourceField:
-    """A source's computed L^(q,r) norm certificate."""
-
-    norm_qr: float
-    spec: SourceSpec
-
-
-def make_source(spec: SourceSpec, grid: SpaceTimeGrid) -> SourceField:
-    """The source's L^(q,r) norm over the whole grid, as a certificate.
+def make_source(spec: SourceSpec, grid: SpaceTimeGrid) -> float:
+    """The source's L^(q,r) norm over the whole grid.
 
     The full-domain quadrature (trapezoid in time, midpoint in space) has
     product weights, so every kind but "tabulated" is the product
@@ -173,10 +165,10 @@ def make_source(spec: SourceSpec, grid: SpaceTimeGrid) -> SourceField:
     """
     region = full_domain_region(grid)
     if spec.kind == "tabulated":
-        return SourceField(anisotropic_norm(_table(spec, grid), spec.q, spec.r, region), spec)
+        return anisotropic_norm(_table(spec, grid), spec.q, spec.r, region)
     at, space = _source_factors(spec, grid)
     _, tw, sw = region.quadrature(grid)  # the whole domain: sw covers every node
-    return SourceField(_weighted_norm(at, tw, spec.r) * _weighted_norm(space, sw, spec.q), spec)
+    return _weighted_norm(at, tw, spec.r) * _weighted_norm(space, sw, spec.q)
 
 
 def _table(spec: SourceSpec, grid: SpaceTimeGrid) -> GridFunction:
@@ -451,16 +443,17 @@ def _pcg(apply_a, b, x, precond, rtol, maxiter):
     )
 
 
-def _tridiag_factor(diag: np.ndarray, off: np.ndarray) -> list:
-    """Cyclic-reduction factor of a symmetric tridiagonal matrix (Hockney 1965).
+def _tridiag_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a symmetric tridiagonal system by cyclic reduction (Hockney 1965).
 
     diag holds the n main-diagonal entries and off the n - 1 entries beside
-    it. The system is padded with identity rows to 2^k - 1 unknowns; each of
-    the k levels eliminates every other remaining unknown in a few vectorised
-    operations. A level is (reciprocal pivots of the eliminated rows, their
-    multipliers towards the right and left kept neighbour). Raises
-    SolverError unless every pivot is positive and finite, which for a step
-    matrix of this solver fails only on non-finite input.
+    it. The system is padded with identity rows to 2^k - 1 unknowns. Each of
+    the k levels eliminates every other remaining unknown from the matrix and
+    the right-hand side together, in a few vectorised operations; level j
+    works in place on every 2^j-th row of the padded right-hand side. Back
+    substitution then recovers the eliminated rows from their solved
+    neighbours. Raises SolverError unless every pivot is positive and finite,
+    which for a step matrix of this solver fails only on non-finite input.
     """
     n = diag.size
     size = (1 << n.bit_length()) - 1
@@ -468,9 +461,12 @@ def _tridiag_factor(diag: np.ndarray, off: np.ndarray) -> list:
     b[:n] = diag
     f = np.zeros(size - 1)  # negated off-diagonal
     f[:n - 1] = -off
+    d = np.zeros(size)
+    d[:n] = rhs
     inv = np.empty(size)  # the reciprocal pivots of all levels, packed
-    levels = []
+    levels = []  # (reciprocal pivots, multipliers towards the right and left kept neighbour)
     start = 0
+    stride = 1
     while b.size:
         piv_inv = np.divide(1.0, b[::2], out=inv[start:start + (b.size + 1) // 2])
         start += piv_inv.size
@@ -480,48 +476,32 @@ def _tridiag_factor(diag: np.ndarray, off: np.ndarray) -> list:
         levels.append((piv_inv, lo, hi))
         b = b[1::2] - lo * f_lo - hi * f_hi
         f = hi[:-1] * f_lo[1:]
-    if not (inv.min() > 0.0 and inv.max() < INF):
-        with np.errstate(divide="ignore"):
-            pivots = 1.0 / inv
-        bad = pivots[~(np.isfinite(pivots) & (pivots > 0.0))][0]
-        raise SolverError(f"tridiagonal pivot {bad:.6g} is not positive and finite")
-    return levels
-
-
-def _tridiag_solve(levels: list, rhs: np.ndarray) -> np.ndarray:
-    """Solve with a _tridiag_factor factor.
-
-    Level j works in place on every 2^j-th row of the padded right-hand
-    side: forward elimination folds the eliminated rows into the kept ones,
-    back substitution recovers them from their solved neighbours.
-    """
-    n = rhs.size
-    d = np.zeros(2 * levels[0][0].size - 1)
-    d[:n] = rhs
-    stride = 1
-    for _, lo, hi in levels[:-1]:
         rows = d[stride - 1::stride]
         kept = rows[1::2]
         kept += lo * rows[0:-1:2]
         kept += hi * rows[2::2]
         stride *= 2
+    if not (inv.min() > 0.0 and inv.max() < INF):
+        with np.errstate(divide="ignore"):
+            pivots = 1.0 / inv
+        bad = pivots[~(np.isfinite(pivots) & (pivots > 0.0))][0]
+        raise SolverError(f"tridiagonal pivot {bad:.6g} is not positive and finite")
     for piv_inv, lo, hi in reversed(levels):
+        stride //= 2
         rows = d[stride - 1::stride]
         elim, kept = rows[0::2], rows[1::2]
         elim *= piv_inv
         elim[:-1] += lo * kept
         elim[1:] += hi * kept
-        stride //= 2
     return d[:n]
 
 
 def _step_solver(op: _StepOperator, basis: np.ndarray | None):
     """step_solve(rhs, x) solves the step matrix of op against rhs into x,
-    which holds the start: by a tridiagonal factor in 1D, by preconditioned
+    which holds the start: by cyclic reduction in 1D, by preconditioned
     conjugate gradients in 2D and 3D."""
     if op.n == 1:
-        levels = _tridiag_factor(op.diag, -op.couplings[0][1:-1])
-        return lambda rhs, x: np.copyto(x, _tridiag_solve(levels, rhs))
+        return lambda rhs, x: np.copyto(x, _tridiag_solve(op.diag, -op.couplings[0][1:-1], rhs))
     precond = _fast_diagonal_preconditioner(op, basis)
     return lambda rhs, x: _pcg(op.apply, rhs, x, precond, _CG_RTOL, _CG_MAX_ITERS)
 
@@ -881,7 +861,7 @@ def caccioppoli_gap(u: GridFunction, source: SourceSpec, cutoff: GridFunction,
     if xi.min() < -1e-12 or xi.max() > 1.0 + 1e-12:
         raise ValueError("cutoff values must lie in [0, 1]")
     blk, tw, sw = region.quadrature(grid)
-    f_norm = make_source(source, grid).norm_qr
+    f_norm = make_source(source, grid)
     xi_t = _time_derivative(xi[(slice(None),) + blk.box], grid.dt)[blk.times]
 
     uj, xj = u.values[blk.index], xi[blk.index]

@@ -59,7 +59,7 @@ def probe_cfg():
     cfg["scenario"] = "probe-demo"
     cfg["grid"] = {"h": 1 / 256, "dt": 2e-05, "t_end": 0.3}
     cfg["source"] = {"kind": "separable_power", "a": 0.0, "b": 0.2, "q": "inf", "r": 4.0}
-    cfg["probe"] = {"lambda": 0.45, "K": 5, "mode": "affine", "centers": [[0.0, 0.3]]}
+    cfg["probe"] = {"lambda": 0.45, "K": 5, "centers": [[0.0, 0.3]]}
     return cfg
 
 
@@ -154,15 +154,14 @@ def test_probe_subcommand(tmp_path):
     assert lines[0] == "center,k,rho,theta_k,S_k,bound_k,ratio"
 
 
-@pytest.mark.parametrize("mode", ["affine", "plain"])
-def test_probe_writes_every_center_to_the_profile(tmp_path, mode):
+def test_probe_writes_every_center_to_the_profile(tmp_path):
     # profile.csv holds each center's levels after its center id, the index
-    # of the center in summary.json; bound_k and ratio come from the
-    # dyadic bound of the center's plain profile
+    # of the center in summary.json; S_k comes from the center's affine
+    # profile, bound_k and ratio from the dyadic bound of its plain profile
     cfg = json.loads(json.dumps(SOLVE_CFG))
     cfg["scenario"] = "two-center-probe"
     cfg["grid"] = {"h": 1 / 128, "dt": 5e-05, "t_end": 0.25}
-    cfg["probe"] = {"lambda": 0.45, "K": 4, "mode": mode, "centers": [[0.0, 0.25], [0.25, 0.25]]}
+    cfg["probe"] = {"lambda": 0.45, "K": 4, "centers": [[0.0, 0.25], [0.25, 0.25]]}
     out = tmp_path / "two_out"
     assert main(["probe", str(write_config(tmp_path, cfg)), "--out", str(out)]) == EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
@@ -174,7 +173,7 @@ def test_probe_writes_every_center_to_the_profile(tmp_path, mode):
     params = cli.load_config(write_config(tmp_path, cfg, "again.json")).params
     want = []
     for c, x in enumerate((0.0, 0.25)):
-        prof = probe.oscillation_profile(u, ((x,), 0.25), 0.45, 4, params, mode=mode)
+        prof = probe.oscillation_profile(u, ((x,), 0.25), 0.45, 4, params, mode="affine")
         plain = probe.oscillation_profile(u, ((x,), 0.25), 0.45, 4, params, mode="plain")
         bound = probe.check_dyadic_bound(plain, params)
         want += [[str(c), str(e.k), repr(e.rho), repr(e.theta_eff), repr(e.sup_osc),
@@ -188,7 +187,7 @@ def test_probe_at_t_end_of_a_grid_whose_times_fall_short_of_it(tmp_path):
     cfg = json.loads(json.dumps(SOLVE_CFG))
     cfg["scenario"] = "probe-at-t-end"
     cfg["grid"] = {"h": 1 / 128, "dt": 1.5e-4, "t_start": 0.05, "t_end": 0.5}
-    cfg["probe"] = {"lambda": 0.45, "K": 4, "mode": "affine"}
+    cfg["probe"] = {"lambda": 0.45, "K": 4}
     out = tmp_path / "t_end_out"
     assert main(["probe", str(write_config(tmp_path, cfg)), "--out", str(out)]) == EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
@@ -201,7 +200,7 @@ def test_probe_zero_source_constant_data_unfittable(tmp_path):
     cfg["grid"] = {"h": 1 / 128, "dt": 5e-05, "t_end": 0.25}
     cfg["solve"]["initial"] = {"kind": "constant", "value": 0.3}
     cfg["solve"]["boundary"] = {"kind": "constant", "value": 0.3}
-    cfg["probe"] = {"lambda": 0.45, "K": 4, "mode": "plain", "centers": [[0.0, 0.25]]}
+    cfg["probe"] = {"lambda": 0.45, "K": 4, "centers": [[0.0, 0.25]]}
     out = tmp_path / "flat_out"
     assert main(["probe", str(write_config(tmp_path, cfg)), "--out", str(out)]) == EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
@@ -216,7 +215,6 @@ def test_probe_center_rule_finds_critical_extrema(tmp_path):
     cfg["probe"] = {
         "lambda": 0.45,
         "K": 4,
-        "mode": "affine",
         "max_centers": 2,
     }
     out = tmp_path / "rule_out"
@@ -323,7 +321,7 @@ def test_tripped_numerical_guard_exits_with_its_own_code(tmp_path, capsys, monke
     cfg = json.loads(json.dumps(SOLVE_CFG))
     cfg["scenario"] = "guard-probe"
     cfg["grid"] = {"h": 1 / 128, "dt": 5e-05, "t_end": 0.25}
-    cfg["probe"] = {"lambda": 0.45, "K": 4, "mode": "plain", "centers": [[0.0, 0.25]]}
+    cfg["probe"] = {"lambda": 0.45, "K": 4, "centers": [[0.0, 0.25]]}
     path = write_config(tmp_path, cfg)
     assert main(["probe", str(path), "--out", str(tmp_path / "guard")]) == EXIT_NUMERIC == 5
     assert "numerical guard tripped: sigma*theta = " in capsys.readouterr().err
@@ -332,7 +330,7 @@ def test_tripped_numerical_guard_exits_with_its_own_code(tmp_path, capsys, monke
 def test_unresolvable_probe_levels_exit_as_a_probe_failure(tmp_path, capsys):
     # at h = 1/16 the level-8 radius 0.25^8 holds a single node per axis
     cfg = json.loads(json.dumps(SOLVE_CFG))
-    cfg["probe"] = {"lambda": 0.25, "K": 8, "mode": "affine", "centers": [[0.0, 0.0625]]}
+    cfg["probe"] = {"lambda": 0.25, "K": 8, "centers": [[0.0, 0.0625]]}
     path = write_config(tmp_path, cfg)
     assert main(["probe", str(path), "--out", str(tmp_path / "out")]) == EXIT_PROBE == 4
     assert "probe failure: smallest cylinder radius" in capsys.readouterr().err
@@ -375,8 +373,6 @@ BAD_FIELDS = [
     ("probe", {}, "probe.centers", [[0.0, 0.05], [5]], "probe.centers[1]: expected a list of 2 numbers"),
     ("probe", {}, "probe.centers", 5, "probe.centers: expected a list of centers"),
     ("probe", {}, "probe.centers", [[0.0]], "probe.centers[0]: expected a list of 2 numbers [x_1, t]"),
-    ("probe", {}, "probe.mode", 5, "probe.mode: unknown mode 5"),
-    ("probe", {}, "probe.mode", "sideways", "probe.mode: unknown mode 'sideways'"),
     ("probe", {}, "probe.lambda", 0.7, "probe.lambda: must lie in (0, 1/2), got 0.7"),
     ("probe", {}, "probe.K", 2, "probe.K: need at least 4 dyadic levels, got 2"),
     ("probe", {}, "solve.boundary", {"kind": "reference", "name": 5},
@@ -388,6 +384,9 @@ BAD_FIELDS = [
     ("probe", {}, "bogus", 1, "bogus: unknown field"),
     ("probe", {}, "probe.lamda", 0.3, "probe.lamda: unknown field"),
     ("probe", {}, "solve.newton_tol", 1e-14, "solve.newton_tol: unknown field"),
+    ("probe", {}, "probe.mode", "affine", "probe.mode: unknown field"),
+    ("probe", {}, "probe.mode", 5, "probe.mode: unknown field"),
+    ("probe", {}, "probe.mode", "sideways", "probe.mode: unknown field"),
     # fields that restate params must agree with it
     ("exponent", {}, "grid.n", 2, "grid.n: disagrees with params.n = 1"),
     ("exponent", {}, "solve.p", 3.0, "solve.p: disagrees with params.p = 2.0"),
@@ -542,4 +541,14 @@ def test_a_malformed_bundled_config_exits_2_naming_the_field(tmp_path, capsys, m
     assert main([subcommand, str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {names}")
+    assert "Traceback" not in err
+
+
+def test_an_infinite_p_in_a_bundled_config_exits_2(tmp_path, capsys):
+    raw = json.loads((CONFIGS / BUNDLED["region"]).read_text())
+    raw["params"]["p"] = "inf"
+    path = write_config(tmp_path, raw)
+    assert main(["region", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: params: p must be finite, got inf")
     assert "Traceback" not in err

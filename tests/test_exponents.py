@@ -53,6 +53,13 @@ def test_construction_rejects_bad_ranges():
         ProblemParams(p=3.0, n=2, q=8.0, r=8.0)  # alpha_h required for p != 2
 
 
+def test_construction_rejects_an_infinite_p():
+    with pytest.raises(ValueError, match=r"^p must be finite, got inf$"):
+        ProblemParams(p=INF, n=2, q=8.0, r=8.0, alpha_h=1.0)
+    # a huge finite p stays: the exponents are defined there
+    assert ProblemParams(p=1e300, n=2, q=8.0, r=8.0, alpha_h=1.0).p == 1e300
+
+
 def test_alpha_h_defaults_to_one_for_heat():
     assert ProblemParams(p=2.0, n=2, q=8.0, r=8.0).alpha_h == 1.0
 

@@ -396,6 +396,21 @@ def test_pointwise_noncritical_routes_through_rescale():
     assert np.isfinite(rep.M)
 
 
+def test_pointwise_noncritical_with_unresolvable_rescaled_levels_is_vacuous():
+    # v's tau-grid keeps u's 513 slices over a depth of about 1, four times
+    # u's dt: level 4's depth lambda^8 holds 4 slices on u but fewer on v
+    g = SpaceTimeGrid(n=1, extent=1.0, h=1 / 128, dt=1 / 2048, t_start=0.0, t_end=0.25)
+    u = GridFunction.from_callable(g, lambda x, t: 0.5 * x + x**3 + 0.1 * t)
+    params = ProblemParams(p=2.0, n=1, q=INF, r=INF)
+    rep = check_pointwise_c1alpha(u, ((0.0,), 0.25), params, 0.45, 4)
+    assert not rep.critical
+    assert rep.tau == 0.50006103515625
+    assert rep.M == 0.0  # every level lies below tau
+    assert rep.slope is None and rep.rescaled_fit is None
+    assert rep.notes.endswith("; rescaled levels unresolvable at this grid")
+    assert rep.vacuous and rep.passes
+
+
 def test_pointwise_checks_do_not_import_scipy():
     # both branches, the non-critical one through rescale_outside, are numpy-only
     code = (

@@ -235,7 +235,7 @@ def _caccioppoli_gap_by_slices(u, source, cutoff, region, p, c_fit):
         grad_term += w_t * float(np.sum(gu_mag**p * xj**p * sw))
         rhs_bulk += w_t * float(np.sum(np.abs(uj) ** p * (xj**p + gxi_mag**p) * sw))
         rhs_time += w_t * float(np.sum(uj * uj * xj ** (p - 1.0) * np.abs(xi_t[j]) * sw))
-    f_norm = make_source(source, grid).norm_qr
+    f_norm = make_source(source, grid)
     return sup_term + grad_term, rhs_bulk + c_fit * rhs_time + c_fit * f_norm
 
 

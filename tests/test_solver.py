@@ -43,7 +43,6 @@ from plaplab.solver import (
     _source_factors,
     _source_reader,
     _StepOperator,
-    _tridiag_factor,
     _tridiag_solve,
 )
 
@@ -61,11 +60,10 @@ def grid1d(h=1 / 32, dt=None, t_end=0.1, t_start=0.0, extent=1.0):
 
 def test_zero_and_constant_sources():
     g = grid1d(h=1 / 16, dt=1 / 64, t_end=1.0)
-    z = make_source(SourceSpec(kind="zero", q=2.0, r=2.0), g)
-    assert z.norm_qr == 0.0
+    assert make_source(SourceSpec(kind="zero", q=2.0, r=2.0), g) == 0.0
     c = make_source(SourceSpec(kind="constant", c=0.9, q=4.0, r=3.0), g)
     # constant on [-1,1] x (0,1]: norm = c * 2^(1/q)
-    assert c.norm_qr == pytest.approx(0.9 * 2.0 ** (1 / 4), rel=1e-12)
+    assert c == pytest.approx(0.9 * 2.0 ** (1 / 4), rel=1e-12)
 
 
 def test_separable_power_certificate():
@@ -75,16 +73,16 @@ def test_separable_power_certificate():
     with pytest.raises(ValueError):
         make_source(SourceSpec(kind="separable_power", a=0.0, b=0.3, q=4.0, r=4.0), g)
     ok = make_source(SourceSpec(kind="separable_power", a=0.3, b=0.1, q=2.0, r=4.0), g)
-    assert np.isfinite(ok.norm_qr) and ok.norm_qr > 0
+    assert np.isfinite(ok) and ok > 0
 
 
 def test_separable_power_norm_against_fine_grid():
     # attached norm at h vs the same quadrature at h/4: within 2 percent
     spec = SourceSpec(kind="separable_power", a=0.5, b=0.1, q=3.0, r=5.0)
     g2 = SpaceTimeGrid(n=2, extent=1.0, h=1 / 24, dt=1 / 16, t_start=0.0, t_end=1.0)
-    coarse = make_source(spec, g2).norm_qr
+    coarse = make_source(spec, g2)
     g2f = SpaceTimeGrid(n=2, extent=1.0, h=1 / 96, dt=1 / 64, t_start=0.0, t_end=1.0)
-    fine = make_source(spec, g2f).norm_qr
+    fine = make_source(spec, g2f)
     assert coarse == pytest.approx(fine, rel=0.02)
 
 
@@ -92,10 +90,10 @@ def test_tabulated_source_round_trip():
     g = grid1d(h=1 / 16, dt=1 / 64, t_end=0.25)
     table = GridFunction.from_callable(g, lambda x, t: np.cos(x) * (1 + t))
     spec = SourceSpec(kind="tabulated", table=table, q=2.0, r=3.0)
-    src = make_source(spec, g)
+    norm = make_source(spec, g)
     assert np.array_equal(_source_reader(spec, g)((slice(None), slice(None))), table.values)
     region = full_domain_region(g)
-    assert src.norm_qr == pytest.approx(anisotropic_norm(table, 2.0, 3.0, region), rel=1e-12)
+    assert norm == pytest.approx(anisotropic_norm(table, 2.0, 3.0, region), rel=1e-12)
     other = grid1d(h=1 / 8, dt=1 / 64, t_end=0.25)
     with pytest.raises(ValueError):
         make_source(SourceSpec(kind="tabulated", table=table), other)
@@ -105,9 +103,9 @@ def test_time_power_norm_matches_closed_form():
     # f = t^(-b) on [-1,1] x (0,1]: ||f||_(q,r) = 2^(1/q) (1/(1-br))^(1/r)
     b, q, r = 0.2, 4.0, 4.0
     g = grid1d(h=1 / 8, dt=1 / 512, t_end=1.0)
-    src = make_source(SourceSpec(kind="separable_power", a=0.0, b=b, q=q, r=r), g)
+    norm = make_source(SourceSpec(kind="separable_power", a=0.0, b=b, q=q, r=r), g)
     exact = 2.0 ** (1 / q) * (1.0 / (1.0 - b * r)) ** (1 / r)
-    assert src.norm_qr == pytest.approx(exact, rel=0.02)
+    assert norm == pytest.approx(exact, rel=0.02)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -129,7 +127,7 @@ def test_source_norm_from_its_factors_is_the_norm_of_its_field(kind, n):
             else:
                 values = np.full(g.shape, spec.c if kind == "constant" else 0.0)
             want = anisotropic_norm(GridFunction(g, values), q, r, full_domain_region(g))
-            assert make_source(spec, g).norm_qr == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert make_source(spec, g) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_source_norm_builds_no_source_field():
@@ -462,8 +460,9 @@ def test_direct_solve_reports_nan_initial_data(p, what):
 def test_step_solver_is_built_once_per_solve_at_p2(monkeypatch, n, p):
     # at p = 2 the step matrix never changes: its operator is built once per
     # solve and no step solver at all, since the march runs in the sine
-    # eigenbasis; at p = 3 both are built every step
-    builder = "_tridiag_factor" if n == 1 else "_fast_diagonal_preconditioner"
+    # eigenbasis; at p = 3 both are built every step (in 1D the step
+    # solver is one cyclic-reduction solve per step)
+    builder = "_tridiag_solve" if n == 1 else "_fast_diagonal_preconditioner"
     counts = {builder: 0, "_StepOperator": 0}
 
     def counting(name):
@@ -514,17 +513,16 @@ def _march_tridiagonal_reference(grid, config, source, initial):
     out = np.empty(grid.shape)
     out[0] = config.boundary.evaluate(grid, times[0], p)
     out[0][1:-1] = initial[1:-1]
-    u, levels = out[0], None
+    u, op = out[0], None
     for m in range(1, len(times)):
-        if levels is None or p != 2.0:
+        if op is None or p != 2.0:
             op = _StepOperator(u, 1, h, p, eps, dt)
             c = op.couplings[0]
-            levels = _tridiag_factor(op.diag, -c[1:-1])
         b = config.boundary.evaluate(grid, times[m], p)
         rhs = u[1:-1] + dt * source_at((m, slice(1, -1)))
         rhs[0] += c[0] * b[0]
         rhs[-1] += c[-1] * b[-1]
-        w = _tridiag_solve(levels, rhs)
+        w = _tridiag_solve(op.diag, -c[1:-1], rhs)
         u = out[m]
         u[0], u[-1] = b[0], b[-1]
         u[1:-1] = w
@@ -649,7 +647,7 @@ def _tridiagonal_system(n, seed, scale):
        scale=st.floats(1e-3, 10.0))
 def test_tridiagonal_solve_matches_dense(n, seed, scale):
     diag, off, rhs = _tridiagonal_system(n, seed, scale)
-    x = _tridiag_solve(_tridiag_factor(diag, off), rhs)
+    x = _tridiag_solve(diag, off, rhs)
     dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     residual = np.linalg.norm(dense @ x - rhs) / np.linalg.norm(rhs)
     assert residual <= 1e-12
@@ -659,9 +657,9 @@ def test_tridiagonal_solve_matches_dense(n, seed, scale):
 
 def test_tridiagonal_factor_rejects_bad_pivots():
     with pytest.raises(SolverError, match="pivot"):
-        _tridiag_factor(np.array([1.0, -3.0, 1.0]), np.array([0.5, 0.5]))
+        _tridiag_solve(np.array([1.0, -3.0, 1.0]), np.array([0.5, 0.5]), np.ones(3))
     with pytest.raises(SolverError, match="pivot"):
-        _tridiag_factor(np.array([1.0, np.inf, 1.0]), np.array([0.5, 0.5]))
+        _tridiag_solve(np.array([1.0, np.inf, 1.0]), np.array([0.5, 0.5]), np.ones(3))
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
