@@ -10,8 +10,11 @@ The side that runs first alternates from pair to pair, so slow drift of
 the host loads both sides alike. Every run's end-to-end metrics are kept,
 and per metric the summary gives each side's median, the parent's
 quartiles, the relative change of the medians and the number of pairs in
-which the change read lower. --workload may repeat; the workloads run one
-after another.
+which the change read lower. For each end-to-end metric that BENCHMARK.json
+declares, it also gives the metric's `better` direction and `bound` from
+that file and whether the change's median is within `bound` (relative) of
+the parent's in that direction: the limit a regression check applies.
+--workload may repeat; the workloads run one after another.
 
 The metrics are those of perfbench's result line. The one number this
 script measures itself is each run's CPU time, `cpu_s`: the user plus
@@ -33,6 +36,14 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+
+
+def end_to_end_limits(path: Path = BENCHMARK) -> dict:
+    """{metric: {"better": "lower" or "higher", "bound": relative bound}} of
+    the end-to-end metrics the benchmark declares."""
+    return {m["name"]: {"better": m["better"], "bound": m["bound"]}
+            for m in json.loads(path.read_text())["end_to_end"]}
 
 
 def parse_result(stdout: str) -> dict:
@@ -60,10 +71,12 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
-def summarize(pairs: list[dict]) -> dict:
+def summarize(pairs: list[dict], limits: dict) -> dict:
     """Per end-to-end metric: the medians of both sides, the parent's
     quartiles, the relative change of the medians and how many pairs the
-    change read lower in."""
+    change read lower in; for a metric in limits (see end_to_end_limits)
+    also its direction, its bound and whether the change's median is worse
+    than the parent's by at most the bound."""
     out = {}
     for name in pairs[0]["parent"]["metrics"]:
         before = [p["parent"]["metrics"][name] for p in pairs]
@@ -75,6 +88,10 @@ def summarize(pairs: list[dict]) -> dict:
                      "relative": (med_a - med_b) / med_b if med_b else None,
                      "change_lower": sum(a < b for a, b in zip(after, before)),
                      "pairs": len(pairs)}
+        if name in limits:
+            better, bound = limits[name]["better"], limits[name]["bound"]
+            worse = med_a - med_b if better == "lower" else med_b - med_a
+            out[name].update(better=better, bound=bound, within_bound=worse <= bound * abs(med_b))
     return out
 
 
@@ -92,7 +109,7 @@ def bench(parent: Path, change: Path, workload: str, pairs: int, seed: int,
     failed = {side: sum(p[side]["failed"] for p in runs) for side in SIDES}
     cpu = {side: statistics.median(p[side]["cpu_s"] for p in runs) for side in SIDES}
     return {"seconds": seconds, "failed_ops": failed, "cpu_s_median": cpu, "pairs": runs,
-            "summary": summarize(runs)}
+            "summary": summarize(runs, end_to_end_limits())}
 
 
 def main(argv=None) -> int:

@@ -31,7 +31,7 @@ import numpy as np
 from . import exponents as expo
 from . import grids, probe, solver
 from .cylinders import critical_zone
-from .exponents import ProblemParams
+from .exponents import FieldError, ProblemParams
 from .grids import GridFunction, Region, SpaceTimeGrid
 from .solver import BoundarySpec, SolveConfig, SourceSpec
 
@@ -47,20 +47,18 @@ _MAX_RESOLUTION = 512  # region.resolution: bounds the scan's resolution^2 sampl
 _FIELDS = {
     "": {"scenario", "params", "grid", "solve", "source", "probe", "region", "output_dir", "seed"},
     "params": {"p", "n", "q", "r", "alpha_h"},
-    "grid": {"n", "extent", "h", "dt", "t_start", "t_end"},
-    "solve": {"p", "eps_reg", "scheme", "boundary", "initial"},
+    "grid": {"extent", "h", "dt", "t_start", "t_end"},
+    "solve": {"eps_reg", "scheme", "boundary", "initial"},
     "solve.boundary": {"kind", "value", "gradient", "name"},
     "solve.initial": {"kind", "value"},
-    "source": {"kind", "c", "a", "b", "amplitude", "q", "r"},
+    "source": {"kind", "c", "a", "b", "amplitude"},
     "probe": {"lambda", "K", "centers", "max_centers"},
-    "region": {"p", "n", "resolution", "q_max", "r_max"},
+    "region": {"resolution", "q_max", "r_max"},
 }
 
 
-class ConfigError(ValueError):
-    def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
-        self.field_path = path
+class ConfigError(FieldError):
+    """A bad config entry; field is its path, such as probe.centers[0][1]."""
 
 
 def _number(val, where: str) -> float:
@@ -87,17 +85,6 @@ def _num(block: dict, key: str, path: str, default=_REQUIRED, integer=False):
     if integer and not val.is_integer():
         raise ConfigError(where, f"expected an integer, got {val!r}")
     return int(val) if integer else val
-
-
-def _restated(block: dict, key: str, path: str, params, default=_REQUIRED, integer=False):
-    """The number block[key] without a params block; with one, params' value,
-    which block[key] must equal when it restates it."""
-    if params is None:
-        return _num(block, key, path, default, integer)
-    given = getattr(params, key)
-    if key in block and _num(block, key, path, integer=integer) != given:
-        raise ConfigError(f"{path}.{key}", f"disagrees with params.{key} = {given}")
-    return given
 
 
 def _string(block: dict, key: str, default: str) -> str:
@@ -128,14 +115,16 @@ def _object(block: dict, key: str, path: str, default=None):
 
 @contextlib.contextmanager
 def _block_errors(path: str):
-    """Raise a ValueError from building the block at path as a ConfigError
-    naming the block; a ConfigError, which names its own field, passes as is."""
+    """Raise a FieldError from building the block at path as a ConfigError
+    naming the field, under params for the values params states; a
+    ConfigError, which names its own field, passes as is."""
     try:
         yield
     except ConfigError:
         raise
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+    except FieldError as exc:
+        owner = "params" if exc.field in _FIELDS["params"] else path
+        raise ConfigError(f"{owner}.{exc.field}", exc.reason) from exc
 
 
 @dataclass(frozen=True)
@@ -182,13 +171,15 @@ def load_config(path) -> ExperimentConfig:
                 r=_num(blk, "r", "params"),
                 alpha_h=_num(blk, "alpha_h", "params", default=None),
             )
+    elif any(key in raw for key in ("grid", "solve", "source")):
+        raise ConfigError("params", "a grid, solve or source block needs a 'params' block")
 
     grid = None
     blk = _object(raw, "grid", "grid")
     if blk is not None:
         with _block_errors("grid"):
             grid = SpaceTimeGrid(
-                n=_restated(blk, "n", "grid", params, default=1, integer=True),
+                n=params.n,
                 extent=_num(blk, "extent", "grid", default=1.0),
                 h=_num(blk, "h", "grid"),
                 dt=_num(blk, "dt", "grid"),
@@ -201,9 +192,6 @@ def load_config(path) -> ExperimentConfig:
     blk = _object(raw, "solve", "solve")
     if blk is not None:
         bblk = _object(blk, "boundary", "solve.boundary", {})
-        kind = bblk.get("kind", "zero")
-        if kind not in ("zero", "constant", "affine", "reference"):
-            raise ConfigError("solve.boundary.kind", f"unsupported kind {kind!r}")
         gradient = bblk.get("gradient", [])
         if not isinstance(gradient, list):
             raise ConfigError("solve.boundary.gradient", "expected a list of numbers")
@@ -212,24 +200,18 @@ def load_config(path) -> ExperimentConfig:
         if grid is not None and len(gradient) not in (0, grid.n):
             raise ConfigError("solve.boundary.gradient", f"expected one number per axis "
                               f"of the {grid.n}D grid, got {len(gradient)}")
-        name = bblk.get("name", "")
-        if kind == "reference" and name not in solver.REFERENCE_NAMES:
-            raise ConfigError("solve.boundary.name", f"unknown reference solution {name!r}, "
-                              f"expected one of {', '.join(solver.REFERENCE_NAMES)}")
-        boundary = BoundarySpec(
-            kind=kind,
-            value=_num(bblk, "value", "solve.boundary", default=0.0),
-            gradient=gradient,
-            name=name,
-        )
-        scheme = blk.get("scheme", "semi_implicit")
-        if scheme not in ("semi_implicit", "explicit"):
-            raise ConfigError("solve.scheme", f"unknown scheme {scheme!r}")
+        with _block_errors("solve.boundary"):
+            boundary = BoundarySpec(
+                kind=bblk.get("kind", "zero"),
+                value=_num(bblk, "value", "solve.boundary", default=0.0),
+                gradient=gradient,
+                name=bblk.get("name", ""),
+            )
         with _block_errors("solve"):
             solve_config = SolveConfig(
-                p=_restated(blk, "p", "solve", params),
+                p=params.p,
                 eps_reg=_num(blk, "eps_reg", "solve", default=None),
-                scheme=scheme,
+                scheme=blk.get("scheme", "semi_implicit"),
                 boundary=boundary,
             )
         init = _object(blk, "initial", "solve.initial", {})
@@ -239,20 +221,17 @@ def load_config(path) -> ExperimentConfig:
         initial_value = _num(init, "value", "solve.initial", default=0.0)
 
     source = None
-    blk = _object(raw, "source", "source")
-    if blk is not None:
-        kind = blk.get("kind", "zero")
-        if kind not in ("zero", "constant", "separable_power"):
-            raise ConfigError("source.kind", f"unsupported kind {kind!r}")
+    blk = _object(raw, "source", "source", {})
+    if params is not None:
         with _block_errors("source"):
             source = SourceSpec(
-                kind=kind,
+                kind=blk.get("kind", "zero"),
                 c=_num(blk, "c", "source", default=0.0),
                 a=_num(blk, "a", "source", default=0.0),
                 b=_num(blk, "b", "source", default=0.0),
                 amplitude=_num(blk, "amplitude", "source", default=1.0),
-                q=_num(blk, "q", "source", default=params.q if params else math.inf),
-                r=_num(blk, "r", "source", default=params.r if params else math.inf),
+                q=params.q,
+                r=params.r,
             )
 
     output_dir = _string(raw, "output_dir", "out")
@@ -286,9 +265,7 @@ def _initial_field(cfg: ExperimentConfig, grid: SpaceTimeGrid) -> np.ndarray:
         return np.full(grid.spatial_shape, cfg.initial_value)
     if cfg.initial_kind == "eigenmode":
         return solver.reference_slice("heat_mode", grid, grid.t_start) * (cfg.initial_value or 1.0)
-    if cfg.initial_kind == "boundary":
-        return cfg.solve_config.boundary.evaluate(grid, grid.t_start, cfg.solve_config.p)
-    raise ConfigError("solve.initial.kind", f"unsupported kind {cfg.initial_kind!r}")
+    return cfg.solve_config.boundary.evaluate(grid, grid.t_start, cfg.solve_config.p)  # kind "boundary"
 
 
 def _sanitize(obj):
@@ -351,18 +328,17 @@ def run_exponent(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
 
 def run_region(cfg: ExperimentConfig, out_dir: Path) -> dict:
+    params = _require(cfg, "params", "params")
     blk = cfg.region_block or {}
-    p = _restated(blk, "p", "region", cfg.params)
-    n = _restated(blk, "n", "region", cfg.params, integer=True)
     resolution = _num(blk, "resolution", "region", default=32, integer=True)
     if not 2 <= resolution <= _MAX_RESOLUTION:
         raise ConfigError("region.resolution", f"must lie in [2, {_MAX_RESOLUTION}], got {resolution}")
     # the scan samples q over (n, q_max] and r over (2, r_max]
     q_max, r_max = (_num(blk, key, "region", default=None) for key in ("q_max", "r_max"))
-    for key, val, low in (("q_max", q_max, n), ("r_max", r_max, 2)):
+    for key, val, low in (("q_max", q_max, params.n), ("r_max", r_max, 2)):
         if val is not None and not low < val < math.inf:
             raise ConfigError(f"region.{key}", f"must be finite and exceed {low}, got {val}")
-    scan = expo.admissible_region(p, n, resolution, q_max=q_max, r_max=r_max)
+    scan = expo.admissible_region(params.p, params.n, resolution, q_max=q_max, r_max=r_max)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = [[repr(s.q), repr(s.r), repr(s.band), int(s.admissible), s.violation] for s in scan.samples]
     _write_csv(out_dir / "region.csv", ["q", "r", "n_over_q_plus_2_over_r", "admissible", "violation"],
@@ -372,8 +348,8 @@ def run_region(cfg: ExperimentConfig, out_dir: Path) -> dict:
         "scenario": cfg.scenario,
         "config_sha256": cfg.sha256,
         "predicted": {
-            "p": p,
-            "n": n,
+            "p": params.p,
+            "n": params.n,
             "samples": len(scan.samples),
             "admissible_samples": admissible_count,
             "holder_curve_points": len(scan.holder_curve),
@@ -387,9 +363,8 @@ def run_region(cfg: ExperimentConfig, out_dir: Path) -> dict:
 def run_solve(cfg: ExperimentConfig, out_dir: Path) -> dict:
     grid = _require(cfg, "grid", "grid")
     sc = _require(cfg, "solve_config", "solve")
-    source = cfg.source or SourceSpec(kind="zero")
     initial = _initial_field(cfg, grid)
-    u = solver.solve(grid, sc, source, initial)
+    u = solver.solve(grid, sc, cfg.source, initial)
     out_dir.mkdir(parents=True, exist_ok=True)
     grids.write_binary(u, out_dir / "solution.bin")
     payload = {
@@ -399,7 +374,7 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> dict:
             # max(max, -min) over every node: no field-sized |u| temporary
             "sup_abs_u": float(grids.masked_abs_max(u.values, True)),
             "final_sup_abs_u": float(grids.masked_abs_max(u.values[-1], True)),
-            "source_norm_qr": solver.make_source(source, grid),
+            "source_norm_qr": solver.make_source(cfg.source, grid),
         },
         "files": {"solution": "solution.bin"},
     }
@@ -467,23 +442,19 @@ def run_probe(cfg: ExperimentConfig, out_dir: Path) -> dict:
     params = _require(cfg, "params", "params")
     grid = _require(cfg, "grid", "grid")
     blk = cfg.probe_block or {}
-    # probe fields are checked before the solve, so a bad one costs no solve; the library
-    # keeps its own checks for its callers
+    # probe fields are checked before the solve, so a bad one costs no solve
     lam = _num(blk, "lambda", "probe", default=0.25)
-    if not 0.0 < lam < 0.5:
-        raise ConfigError("probe.lambda", f"must lie in (0, 1/2), got {lam}")
     K = _num(blk, "K", "probe", default=6, integer=True)
-    if K < 4:
-        raise ConfigError("probe.K", f"need at least 4 dyadic levels, got {K}")
+    with _block_errors("probe"):
+        probe.check_levels(lam, K)
     centers = _given_centers(blk, grid)
     if centers is None:
         max_centers = _num(blk, "max_centers", "probe", default=4, integer=True)
         if max_centers < 1:
             raise ConfigError("probe.max_centers", f"must be at least 1, got {max_centers}")
     sc = _require(cfg, "solve_config", "solve")
-    source = cfg.source or SourceSpec(kind="zero", q=params.q, r=params.r)
     initial = _initial_field(cfg, grid)
-    u = solver.solve(grid, sc, source, initial)
+    u = solver.solve(grid, sc, cfg.source, initial)
 
     if centers is None:
         centers = _critical_extrema(u, params, lam, max_centers, cfg.seed)

@@ -29,6 +29,17 @@ INF = math.inf
 _IDENTITY_TOL = 1e-12
 
 
+class FieldError(ValueError):
+    """An argument outside the range its type accepts; field names the
+    argument and reason says why. It lives here, in the module that imports
+    nothing from the package, so that every library type can raise it."""
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"{field}: {reason}")
+        self.field = field
+        self.reason = reason
+
+
 def _inv(x: float) -> float:
     """1/x on the extended reals: 1/inf = 0."""
     return 0.0 if math.isinf(x) else 1.0 / x
@@ -59,23 +70,23 @@ class ProblemParams:
 
     def __post_init__(self):
         if not (isinstance(self.n, int) and self.n >= 1):
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+            raise FieldError("n", f"must be a positive integer, got {self.n!r}")
         p_floor = max(1.0, 2.0 * self.n / (self.n + 2.0))
         if not self.p > p_floor:
-            raise ValueError(f"p must exceed max(1, 2n/(n+2)) = {p_floor}, got {self.p}")
+            raise FieldError("p", f"must exceed max(1, 2n/(n+2)) = {p_floor}, got {self.p}")
         if not math.isfinite(self.p):
-            raise ValueError(f"p must be finite, got {self.p}")
+            raise FieldError("p", f"must be finite, got {self.p}")
         if not self.q > self.n:
-            raise ValueError(f"q must exceed n = {self.n}, got {self.q}")
+            raise FieldError("q", f"must exceed n = {self.n}, got {self.q}")
         if not self.r > 2.0:
-            raise ValueError(f"r must exceed 2, got {self.r}")
+            raise FieldError("r", f"must exceed 2, got {self.r}")
         if self.alpha_h is None:
             if self.p == 2.0:
                 object.__setattr__(self, "alpha_h", 1.0)
             else:
-                raise ValueError("alpha_h must be given explicitly when p != 2")
+                raise FieldError("alpha_h", "must be given explicitly when p != 2")
         if not (0.0 < self.alpha_h <= 1.0):
-            raise ValueError(f"alpha_h must lie in (0, 1], got {self.alpha_h}")
+            raise FieldError("alpha_h", f"must lie in (0, 1], got {self.alpha_h}")
 
     @property
     def degenerate(self) -> bool:

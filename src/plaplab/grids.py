@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exponents import FieldError
+
 _ALIGN_TOL = 1e-9
 _TIME_BLOCK = 64  # slices per block of a grid function's block-extremes table
 
@@ -52,21 +54,23 @@ class SpaceTimeGrid:
 
     def __post_init__(self):
         if self.n not in (1, 2, 3):
-            raise ValueError(f"spatial dimension must be 1, 2 or 3, got {self.n}")
-        if not all(map(math.isfinite, (self.extent, self.h, self.dt, self.t_start, self.t_end))):
-            raise ValueError("extent, h, dt, t_start and t_end must be finite")
-        if self.h <= 0 or self.dt <= 0 or self.extent <= 0:
-            raise ValueError("extent, h and dt must be positive")
+            raise FieldError("n", f"a grid's dimension must be 1, 2 or 3, got {self.n}")
+        for name in ("extent", "h", "dt", "t_start", "t_end"):
+            val = getattr(self, name)
+            if not math.isfinite(val):
+                raise FieldError(name, f"must be finite, got {val}")
+            if val <= 0 and name in ("extent", "h", "dt"):
+                raise FieldError(name, f"must be positive, got {val}")
         nx = 2.0 * self.extent / self.h
         if not math.isfinite(nx) or abs(nx - round(nx)) > _ALIGN_TOL * max(1.0, nx):
-            raise ValueError(f"2*extent/h = {nx} is not an integer")
+            raise FieldError("h", f"2*extent/h = {nx} is not an integer")
         if round(nx) + 1 < 3:
-            raise ValueError("need at least 3 nodes per spatial axis")
+            raise FieldError("h", f"2*extent/h = {nx} gives fewer than 3 nodes per spatial axis")
         span = (self.t_end - self.t_start) / self.dt
         if not math.isfinite(span) or abs(span - round(span)) > _ALIGN_TOL * max(1.0, span):
-            raise ValueError(f"(t_end - t_start)/dt = {span} is not an integer")
+            raise FieldError("t_end", f"(t_end - t_start)/dt = {span} is not an integer")
         if round(span) + 1 < 3:
-            raise ValueError("need at least 3 time slices")
+            raise FieldError("t_end", f"(t_end - t_start)/dt = {span} gives fewer than 3 time slices")
 
     @property
     def nodes_per_axis(self) -> int:

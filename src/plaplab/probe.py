@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cylinders import Cylinder, corrected_cylinder, rescale_outside
-from .exponents import ProblemParams, sharp_exponents
+from .exponents import FieldError, ProblemParams, sharp_exponents
 from .grids import (GridFunction, Region, RegionBlock, SpaceTimeGrid, _at_center, _center_point,
                     _region_key, _time_extremes, masked_abs_max, sup_oscillation)
 from .solver import SolveConfig, SourceSpec, solve
@@ -89,6 +89,14 @@ def _interp_noise_floor(u: GridFunction, cyl: Cylinder) -> float:
     return 10.0 * worst / 8.0 + 1e-13 * scale + 1e-300
 
 
+def check_levels(lam: float, K: int) -> None:
+    """Reject a level ratio lambda outside (0, 1/2) or fewer than 4 levels K."""
+    if not 0.0 < lam < 0.5:
+        raise FieldError("lambda", f"must lie in (0, 1/2), got {lam}")
+    if K < 4:
+        raise FieldError("K", f"need at least 4 dyadic levels, got {K}")
+
+
 def oscillation_profile(
     u: GridFunction,
     center,
@@ -102,10 +110,7 @@ def oscillation_profile(
     mode "plain" measures |u - u(center)|; mode "affine" subtracts the
     tangent plane u(center) + grad u(center) . (x - x0).
     """
-    if not (0.0 < lam < 0.5):
-        raise ValueError(f"lambda must lie in (0, 1/2), got {lam}")
-    if K < 4:
-        raise ValueError(f"need at least 4 dyadic levels, got {K}")
+    check_levels(lam, K)
     if mode not in ("plain", "affine"):
         raise ValueError(f"unknown mode {mode!r}")
     grid = u.grid
@@ -206,7 +211,6 @@ class DyadicEntry:
     k: int
     rho: float
     sup_osc: float
-    seq_bound: float
     thm_bound: float
     ratio: float
 
@@ -235,11 +239,10 @@ def check_dyadic_bound(profile: OscillationProfile, params: ProblemParams) -> Dy
     fitted = 0.0
     for e in profile.entries:
         thm = e.rho ** (1.0 + alpha) * (1.0 + g * e.rho ** (-alpha))
-        seq = dyadic_bound_sequence(profile.lam, e.k, alpha, g)
         ratio = e.sup_osc / thm
         fitted = max(fitted, ratio)
         entries.append(
-            DyadicEntry(k=e.k, rho=e.rho, sup_osc=e.sup_osc, seq_bound=seq, thm_bound=thm, ratio=ratio)
+            DyadicEntry(k=e.k, rho=e.rho, sup_osc=e.sup_osc, thm_bound=thm, ratio=ratio)
         )
     return DyadicReport(
         alpha=alpha,

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .exponents import FieldError
 from .grids import (
     GridFunction,
     Region,
@@ -70,6 +71,13 @@ class BoundarySpec:
     gradient: tuple[float, ...] = ()
     name: str = ""
 
+    def __post_init__(self):
+        if self.kind not in ("zero", "constant", "affine", "reference"):
+            raise FieldError("kind", f"must be zero, constant, affine or reference, got {self.kind!r}")
+        if self.kind == "reference" and self.name not in REFERENCE_NAMES:
+            raise FieldError("name", f"unknown reference solution {self.name!r}, "
+                             f"expected one of {', '.join(REFERENCE_NAMES)}")
+
     @property
     def time_dependent(self) -> bool:
         return self.kind == "reference"
@@ -90,14 +98,13 @@ class BoundarySpec:
             for g, m in zip(grad, grid.meshgrid()):
                 out = out + g * m
             return out
-        if self.kind == "reference":
-            return reference_slice(self.name, grid, t, p)
-        raise ValueError(f"unknown boundary kind {self.kind!r}")
+        return reference_slice(self.name, grid, t, p)
 
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Scheme parameters; eps_reg = None means eps = h at solve time."""
+    """Scheme parameters; eps_reg = None means eps = h at solve time, and
+    eps_reg = 0 is allowed only at p = 2."""
 
     p: float
     eps_reg: float | None = None
@@ -106,15 +113,12 @@ class SolveConfig:
 
     def __post_init__(self):
         if self.scheme not in ("semi_implicit", "explicit"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.eps_reg is not None and not self.eps_reg >= 0:  # NaN included
-            raise ValueError(f"eps_reg must be nonnegative, got {self.eps_reg}")
+            raise FieldError("scheme", f"must be semi_implicit or explicit, got {self.scheme!r}")
+        if self.eps_reg is not None and not (self.eps_reg > 0 or self.eps_reg == 0 and self.p == 2.0):
+            raise FieldError("eps_reg", f"must be positive, or zero at p = 2, got {self.eps_reg}")
 
     def resolved_eps(self, grid: SpaceTimeGrid) -> float:
-        eps = grid.h if self.eps_reg is None else self.eps_reg
-        if self.p != 2.0 and eps <= 0.0:
-            raise ValueError("eps_reg must be positive when p != 2")
-        return eps
+        return grid.h if self.eps_reg is None else self.eps_reg
 
 
 @dataclass(frozen=True)
@@ -124,7 +128,8 @@ class SourceSpec:
     kinds: "zero", "constant" (c), "separable_power"
     (amplitude * |x|^(-a) * t^(-b)), "tabulated" (a GridFunction).
     A separable power has finite L^(q,r) norm iff a*q < n and b*r < 1.
-    c, a, b and amplitude must be finite.
+    c, a, b and amplitude must be finite; a table comes with kind
+    "tabulated" only.
     """
 
     kind: str = "zero"
@@ -137,11 +142,15 @@ class SourceSpec:
     r: float = INF
 
     def __post_init__(self):
-        if not (1.0 <= self.q <= INF and 1.0 <= self.r <= INF):
-            raise ValueError(f"source exponents q = {self.q}, r = {self.r} must lie in [1, inf]")
+        kinds = ("zero", "constant", "separable_power") if self.table is None else ("tabulated",)
+        if self.kind not in kinds:
+            raise FieldError("kind", f"must be one of {', '.join(kinds)}, got {self.kind!r}")
+        for name in ("q", "r"):
+            if not 1.0 <= getattr(self, name) <= INF:
+                raise FieldError(name, f"must lie in [1, inf], got {getattr(self, name)}")
         for name in ("c", "a", "b", "amplitude"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} = {getattr(self, name)} is not finite")
+                raise FieldError(name, f"must be finite, got {getattr(self, name)}")
 
     def certificate_ok(self, n: int) -> bool:
         if self.kind != "separable_power":
@@ -172,7 +181,7 @@ def make_source(spec: SourceSpec, grid: SpaceTimeGrid) -> float:
 
 
 def _table(spec: SourceSpec, grid: SpaceTimeGrid) -> GridFunction:
-    if spec.table is None or spec.table.grid != grid:
+    if spec.table.grid != grid:
         raise ValueError("tabulated source needs a table on the same grid")
     return spec.table
 
@@ -204,8 +213,6 @@ def _source_factors(spec: SourceSpec, grid: SpaceTimeGrid):
     """
     if spec.kind in ("zero", "constant"):
         return (0.0 if spec.kind == "zero" else float(spec.c)), 1.0
-    if spec.kind != "separable_power":
-        raise ValueError(f"unknown source kind {spec.kind!r}")
     if not spec.certificate_ok(grid.n):
         raise ValueError(
             f"separable power a={spec.a}, b={spec.b} has no finite "

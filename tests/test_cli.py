@@ -58,7 +58,7 @@ def probe_cfg():
     cfg = json.loads(json.dumps(SOLVE_CFG))
     cfg["scenario"] = "probe-demo"
     cfg["grid"] = {"h": 1 / 256, "dt": 2e-05, "t_end": 0.3}
-    cfg["source"] = {"kind": "separable_power", "a": 0.0, "b": 0.2, "q": "inf", "r": 4.0}
+    cfg["source"] = {"kind": "separable_power", "a": 0.0, "b": 0.2}
     cfg["probe"] = {"lambda": 0.45, "K": 5, "centers": [[0.0, 0.3]]}
     return cfg
 
@@ -264,16 +264,23 @@ def test_config_error_carries_field_path(tmp_path):
 @pytest.mark.parametrize("block, key, value, field_path", [
     ("grid", "h", True, "grid.h"),
     ("params", "p", "two", "params.p"),
-    ("source", "q", 0.5, "source"),  # SourceSpec rejects q < 1
+    ("source", "amplitude", "inf", "source.amplitude"),  # SourceSpec rejects a non-finite one
 ])
 def test_config_error_keeps_the_innermost_field_path(tmp_path, block, key, value, field_path):
     cfg = json.loads(json.dumps(SOLVE_CFG))
     cfg[block][key] = value
     with pytest.raises(ConfigError) as err:
         load_config(write_config(tmp_path, cfg))
-    assert err.value.field_path == field_path
+    assert err.value.field == field_path
     path, _, message = str(err.value).partition(": ")
     assert path == field_path and ": " not in message  # named once, not once per block
+
+
+@pytest.mark.parametrize("block", ["grid", "solve", "source"])
+def test_a_block_that_takes_p_n_q_or_r_needs_params(tmp_path, capsys, block):
+    path = write_config(tmp_path, {"scenario": "no-params", block: SOLVE_CFG[block]})
+    assert main(["validate", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: params: a grid, solve or source block needs")
 
 
 def test_exponent_fast_path_needs_no_grid(tmp_path):
@@ -349,7 +356,7 @@ BAD_FIELDS = [
     ("solve", {"source": {"kind": "constant"}}, "source.a", True, "source.a"),
     ("solve", {"source": {"kind": "constant"}}, "source.b", math.nan, "source.b"),
     ("solve", {"source": {"kind": "constant"}}, "source.amplitude", "x", "source.amplitude"),
-    ("solve", {}, "source.amplitude", 1e400, "source: amplitude = inf is not finite"),  # overflows to inf
+    ("solve", {}, "source.amplitude", 1e400, "source.amplitude: must be finite, got inf"),  # overflows to inf
     ("solve", {}, "solve.eps_reg", math.nan, "solve.eps_reg"),
     ("solve", {}, "seed", True, "seed"),
     ("solve", {}, "output_dir", 5, "output_dir: expected a string, got int"),
@@ -380,6 +387,22 @@ BAD_FIELDS = [
     ("probe", {}, "solve.boundary", {"kind": "reference", "name": "nope"},
      "solve.boundary.name: unknown reference solution 'nope'"),
     ("region", {}, "region.resolution", "abc", "region.resolution"),
+    # values out of range or of an unknown kind, each named by its own path
+    ("solve", {}, "scenario", 5, "scenario: expected a string, got int"),
+    ("solve", {}, "grid.h", -1.0, "grid.h: must be positive, got -1.0"),
+    ("solve", {}, "grid.extent", -1.0, "grid.extent: must be positive, got -1.0"),
+    ("solve", {}, "grid.t_start", "inf", "grid.t_start: must be finite, got inf"),
+    ("exponent", {}, "params.q", 0.5, "params.q: must exceed n = 1, got 0.5"),
+    ("probe", {}, "solve.boundary.kind", "sideways", "solve.boundary.kind: must be zero, constant, "
+     "affine or reference, got 'sideways'"),
+    ("probe", {"solve": {"boundary": {"kind": "reference"}}}, "solve.boundary.name", "nope",
+     "solve.boundary.name: unknown reference solution 'nope'"),
+    ("probe", {}, "solve.initial.kind", "sine", "solve.initial.kind: unsupported kind 'sine'"),
+    ("probe", {}, "solve.scheme", "implicit", "solve.scheme: must be semi_implicit or explicit"),
+    ("probe", {"params": {"p": 3.0, "alpha_h": 1.0}}, "solve.eps_reg", 0.0,
+     "solve.eps_reg: must be positive, or zero at p = 2, got 0.0"),
+    ("probe", {}, "source.kind", "tabulated", "source.kind: must be one of zero, constant, "
+     "separable_power, got 'tabulated'"),
     # fields the CLI does not read, retired ones included
     ("probe", {}, "bogus", 1, "bogus: unknown field"),
     ("probe", {}, "probe.lamda", 0.3, "probe.lamda: unknown field"),
@@ -387,25 +410,19 @@ BAD_FIELDS = [
     ("probe", {}, "probe.mode", "affine", "probe.mode: unknown field"),
     ("probe", {}, "probe.mode", 5, "probe.mode: unknown field"),
     ("probe", {}, "probe.mode", "sideways", "probe.mode: unknown field"),
-    # fields that restate params must agree with it
-    ("exponent", {}, "grid.n", 2, "grid.n: disagrees with params.n = 1"),
-    ("exponent", {}, "solve.p", 3.0, "solve.p: disagrees with params.p = 2.0"),
-    ("region", {}, "region.p", 3.0, "region.p: disagrees with params.p = 2.0"),
-    ("region", {}, "region.n", 2, "region.n: disagrees with params.n = 1"),
+    # params alone states p, n, q and r
+    ("probe", {}, "grid.n", 2, "grid.n: unknown field"),
+    ("probe", {}, "solve.p", 3.0, "solve.p: unknown field"),
+    ("probe", {}, "region.p", 3.0, "region.p: unknown field"),
+    ("probe", {}, "region.n", 2, "region.n: unknown field"),
+    ("probe", {}, "source.q", "inf", "source.q: unknown field"),
+    ("probe", {}, "source.r", 4.0, "source.r: unknown field"),
     # explicit centers off the grid (t runs over [0, 0.3])
     ("probe", {}, "probe.centers", [[5.0, 0.3]],
      "probe.centers[0][0]: 5.0 lies off the grid axis [-1.0, 1.0]"),
     ("probe", {}, "probe.centers", [[0.0, 99.0]],
      "probe.centers[0][1]: 99.0 lies off the grid axis [0.0, 0.3]"),
 ]
-
-
-def test_a_restated_field_that_agrees_with_params_loads(tmp_path):
-    cfg = json.loads(json.dumps(SOLVE_CFG))
-    cfg["grid"]["n"] = 1
-    cfg["solve"]["p"] = 2
-    loaded = load_config(write_config(tmp_path, cfg))
-    assert loaded.grid.n == 1 and loaded.solve_config.p == 2.0
 
 
 def _bad_config(tmp_path, setup, key, value):
@@ -483,7 +500,7 @@ NOT_A_NUMBER = st.one_of(
     st.booleans(), st.none(), st.just([1.0]), st.just({}), st.just(math.nan))
 NOT_A_STRING = st.one_of(st.integers(), st.floats(allow_nan=False), st.booleans(), st.none(),
                          st.just(["x"]), st.just({}))
-# fields whose range the CLI checks itself, with values outside it
+# fields whose range the CLI or a library type checks, with values outside it
 OUT_OF_RANGE = {
     "probe.lambda": st.one_of(st.floats(max_value=0.0), st.floats(min_value=0.5)),
     "probe.K": st.integers(max_value=3),
@@ -493,45 +510,39 @@ OUT_OF_RANGE = {
     "region.q_max": st.one_of(st.floats(max_value=2.0), st.just(math.inf)),
     "region.r_max": st.one_of(st.floats(max_value=2.0), st.just(math.inf)),
     "solve.scheme": st.text(max_size=4),
-}
-# fields whose range a library constructor checks: its message names the block
-BLOCK_RANGE = {
     "params.p": st.floats(max_value=1.0), "params.n": st.integers(max_value=0),
     "params.q": st.floats(max_value=1.0), "params.r": st.floats(max_value=2.0),
     "params.alpha_h": st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.001)),
     "grid.h": st.floats(max_value=0.0), "grid.dt": st.floats(max_value=0.0),
-    "grid.t_end": st.floats(max_value=0.0), "source.q": st.floats(max_value=0.999),
-    "source.r": st.floats(max_value=0.999), "source.a": st.sampled_from([math.inf, -math.inf]),
+    "grid.t_end": st.floats(max_value=0.0),
+    "source.a": st.sampled_from([math.inf, -math.inf]),
     "source.b": st.sampled_from([math.inf, -math.inf]),
 }
 
 
 @st.composite
 def malformed_configs(draw):
-    """(subcommand, config, the path the error must name, the bad field's path)
+    """(subcommand, config, the bad field's path, which the error must name)
     with one field of a bundled config replaced by a bad value."""
     subcommand = draw(st.sampled_from(sorted(BUNDLED)))
     raw = json.loads((CONFIGS / BUNDLED[subcommand]).read_text())
     path, value = draw(st.sampled_from(_leaves(raw)))
     name = _field_path(path)
-    kinds = ["type"] + [kind for kind, table in (("range", OUT_OF_RANGE), ("block", BLOCK_RANGE))
-                        if name in table]
-    kind = draw(st.sampled_from(kinds))
-    if kind == "type":
-        bad = draw(NOT_A_STRING if isinstance(value, str) and value != "inf" else NOT_A_NUMBER)
+    if name in OUT_OF_RANGE and draw(st.booleans()):
+        bad = draw(OUT_OF_RANGE[name])
     else:
-        bad = draw((OUT_OF_RANGE if kind == "range" else BLOCK_RANGE)[name])
+        bad = draw(NOT_A_STRING if isinstance(value, str) and value != "inf" else NOT_A_NUMBER)
     target = raw
     for key in path[:-1]:
         target = target[key]
     target[path[-1]] = bad
-    return subcommand, raw, name.split(".")[0] if kind == "block" else name, name
+    return subcommand, raw, name
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=malformed_configs())
 def test_a_malformed_bundled_config_exits_2_naming_the_field(tmp_path, capsys, monkeypatch, case):
-    subcommand, raw, names, field = case
+    subcommand, raw, field = case
 
     def no_solve(*args, **kwargs):
         raise AssertionError(f"{field} = {raw!r} reached the solve")
@@ -540,7 +551,7 @@ def test_a_malformed_bundled_config_exits_2_naming_the_field(tmp_path, capsys, m
     path = write_config(tmp_path, raw)
     assert main([subcommand, str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {names}")
+    assert err.startswith(f"config error: {field}")
     assert "Traceback" not in err
 
 
@@ -550,5 +561,20 @@ def test_an_infinite_p_in_a_bundled_config_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, raw)
     assert main(["region", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("config error: params: p must be finite, got inf")
+    assert err.startswith("config error: params.p: must be finite, got inf")
     assert "Traceback" not in err
+
+
+def _named(text):
+    """The field a message or a table key names: probe.centers for probe.centers[0][1]: ..."""
+    return re.match(r"[\w.]*", text).group()
+
+
+def test_every_field_the_cli_reads_has_a_bad_value_case():
+    # each case exits 2 naming its field, so a field that the CLI lists but no
+    # longer reads fails its case
+    leaves = {f"{path}.{key}".lstrip(".") for path, keys in cli._FIELDS.items() for key in keys}
+    leaves -= set(cli._FIELDS)  # the blocks
+    named = {_named(row[-1]) for row in BAD_FIELDS} | {_named(key) for key in OUT_OF_RANGE}
+    assert len(leaves) == 33
+    assert sorted(leaves - named) == []

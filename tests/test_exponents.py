@@ -53,8 +53,22 @@ def test_construction_rejects_bad_ranges():
         ProblemParams(p=3.0, n=2, q=8.0, r=8.0)  # alpha_h required for p != 2
 
 
+@pytest.mark.parametrize("kwargs, field", [
+    ({"p": 2.0, "n": 0}, "n"),
+    ({"p": 1.1, "n": 3, "alpha_h": 0.5}, "p"),
+    ({"p": 2.0, "n": 2, "q": 2.0}, "q"),
+    ({"p": 2.0, "n": 2, "r": 2.0}, "r"),
+    ({"p": 3.0, "n": 2}, "alpha_h"),
+    ({"p": 3.0, "n": 2, "alpha_h": 1.5}, "alpha_h"),
+])
+def test_a_range_error_names_its_field(kwargs, field):
+    with pytest.raises(ValueError, match=f"^{field}: ") as err:
+        ProblemParams(**{"q": 8.0, "r": 8.0, **kwargs})
+    assert err.value.field == field
+
+
 def test_construction_rejects_an_infinite_p():
-    with pytest.raises(ValueError, match=r"^p must be finite, got inf$"):
+    with pytest.raises(ValueError, match=r"^p: must be finite, got inf$"):
         ProblemParams(p=INF, n=2, q=8.0, r=8.0, alpha_h=1.0)
     # a huge finite p stays: the exponents are defined there
     assert ProblemParams(p=1e300, n=2, q=8.0, r=8.0, alpha_h=1.0).p == 1e300

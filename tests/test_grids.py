@@ -35,6 +35,23 @@ def test_grid_validation():
         SpaceTimeGrid(n=1, extent=1.0, h=0.5, dt=0.3, t_start=0.0, t_end=1.0)  # span/dt
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"h": -1.0}, "h: must be positive, got -1.0"),
+    ({"n": 4}, "n: a grid's dimension must be 1, 2 or 3, got 4"),
+    ({"dt": 0.0}, "dt: must be positive, got 0.0"),
+    ({"extent": float("nan")}, "extent: must be finite, got nan"),
+    ({"t_start": float("-inf")}, "t_start: must be finite, got -inf"),
+    ({"h": 0.3}, "h: 2*extent/h = 6.66"),
+    ({"t_end": 0.05}, "t_end: (t_end - t_start)/dt = 0.5"),
+])
+def test_a_grid_range_error_names_its_field(kwargs, message):
+    with pytest.raises(ValueError) as err:
+        SpaceTimeGrid(**{"n": 1, "extent": 1.0, "h": 0.5, "dt": 0.1, "t_start": 0.0, "t_end": 1.0,
+                         **kwargs})
+    assert str(err.value).startswith(message)
+    assert err.value.field == message.split(":")[0]
+
+
 def test_grid_nodes():
     g = small_grid(h=1 / 4)
     assert g.nodes_per_axis == 9

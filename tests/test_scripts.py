@@ -68,7 +68,7 @@ def test_bench_summarizes_alternating_pairs_from_result_lines():
              for b, a in zip(parent, change)]
     assert pairs[0]["parent"] == {"correct": True, "attempted": 40, "failed": 0,
                                   "metrics": {"wall_s": 1.0, "op_ms_p90": 10.0}}
-    summary = bench.summarize(pairs)
+    summary = bench.summarize(pairs, {})
     wall = summary["wall_s"]
     assert (wall["parent_median"], wall["change_median"]) == (1.1, 1.0)
     assert (wall["parent_q1"], wall["parent_q3"]) == (1.0, 1.2)
@@ -78,6 +78,26 @@ def test_bench_summarizes_alternating_pairs_from_result_lines():
     assert bench.parse_result(_result_line(1.0, 2.0, failed=3))["correct"] is False
     with pytest.raises(ValueError):
         bench.parse_result("")
+
+
+def test_bench_checks_each_metric_against_its_bound_in_the_benchmark():
+    bench = load_script("bench")
+    limits = bench.end_to_end_limits()
+    assert limits["setup_s"] == {"better": "lower", "bound": 0.25}  # as BENCHMARK.json states
+    # setup_s: median 0.161 -> 0.227 s (+41%) is outside its 25% bound;
+    # wall_s: median 1.0 -> 1.2 s (+20%) is inside it
+    parent = [(1.0, 0.161), (1.0, 0.150), (1.0, 0.170)]
+    change = [(1.2, 0.227), (1.1, 0.230), (1.3, 0.220)]
+    pairs = [{"parent": {"metrics": {"wall_s": pw, "setup_s": ps}},
+              "change": {"metrics": {"wall_s": cw, "setup_s": cs}}}
+             for (pw, ps), (cw, cs) in zip(parent, change)]
+    summary = bench.summarize(pairs, limits)
+    assert summary["wall_s"]["within_bound"] is True
+    assert summary["setup_s"]["within_bound"] is False
+    assert (summary["setup_s"]["better"], summary["setup_s"]["bound"]) == ("lower", 0.25)
+    higher = bench.summarize(pairs, {"wall_s": {"better": "higher", "bound": 0.1}})
+    assert higher["wall_s"]["within_bound"] is True  # a higher wall_s would read better
+    assert "within_bound" not in higher["setup_s"]  # no bound declared for it
 
 
 def test_bench_alternates_sides_and_records_each_runs_child_cpu_seconds(monkeypatch, tmp_path):

@@ -147,7 +147,7 @@ def test_non_finite_source_value_is_a_value_error_before_any_step(monkeypatch, n
     monkeypatch.setattr(solver_module, "_StepOperator", no_step)
     g = grid1d(h=1 / 16, dt=1 / 256, t_end=0.05)
     kind = "constant" if name == "c" else "separable_power"
-    with pytest.raises(ValueError, match=f"^{name} = "):
+    with pytest.raises(ValueError, match=f"^{name}: must be finite, got "):
         solve(g, SolveConfig(p=3.0), SourceSpec(kind=kind, q=4.0, r=4.0, **{name: bad}),
               np.zeros(g.spatial_shape))
 
@@ -184,6 +184,14 @@ def test_affine_gradient_needs_one_component_per_axis():
     # no gradient is the constant value
     assert np.array_equal(BoundarySpec(kind="affine", value=0.1).evaluate(g, 0.0),
                           np.full(g.spatial_shape, 0.1))
+
+
+@pytest.mark.parametrize("kwargs, field", [({"kind": "sideways"}, "kind"),
+                                           ({"kind": "reference", "name": "nope"}, "name")])
+def test_boundary_spec_rejects_a_bad_kind_or_reference_name_at_construction(kwargs, field):
+    with pytest.raises(ValueError, match=f"^{field}: ") as err:
+        BoundarySpec(**kwargs)
+    assert err.value.field == field
 
 
 def test_affine_shift_invariance_on_affine_family():
@@ -344,7 +352,7 @@ def test_1d_singular_solve_builds_no_source_field(p):
 
 def test_non_finite_constant_source_is_rejected():
     g = box_grid(2, 1 / 8, 1 / 256, 2)
-    with pytest.raises(ValueError, match="not finite"):
+    with pytest.raises(ValueError, match="^c: must be finite"):
         solve(g, SolveConfig(p=2.0), SourceSpec(kind="constant", c=float("nan")),
               np.zeros(g.spatial_shape))
 
@@ -691,6 +699,24 @@ def test_source_exponents_must_lie_in_range():
     for q, r in ((0.5, 2.0), (2.0, 0.0), (float("nan"), 2.0)):
         with pytest.raises(ValueError):
             SourceSpec(kind="zero", q=q, r=r)
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: SolveConfig(p=3.0, eps_reg=0.0), "eps_reg"),  # eps = 0 only at p = 2
+    (lambda: SolveConfig(p=2.0, scheme="implicit"), "scheme"),
+    (lambda: SourceSpec(kind="tabulated"), "kind"),  # no table
+    (lambda: SourceSpec(kind="constant", table=GridFunction(grid1d(), np.zeros((103, 65)))), "kind"),
+    (lambda: SourceSpec(kind="sine"), "kind"),
+    (lambda: SourceSpec(kind="zero", r=0.5), "r"),
+])
+def test_solver_settings_reject_a_bad_field_at_construction(make, field):
+    with pytest.raises(ValueError, match=f"^{field}: ") as err:
+        make()
+    assert err.value.field == field
+
+
+def test_a_zero_eps_reg_is_allowed_at_p_2():
+    assert SolveConfig(p=2.0, eps_reg=0.0).eps_reg == 0.0
 
 
 # ---------------------------------------------------------------------------
