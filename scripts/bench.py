@@ -13,7 +13,12 @@ quartiles, the relative change of the medians and the number of pairs in
 which the change read lower. For each end-to-end metric that BENCHMARK.json
 declares, it also gives the metric's `better` direction and `bound` from
 that file and whether the change's median is within `bound` (relative) of
-the parent's in that direction: the limit a regression check applies.
+the parent's in that direction: the limit a regression check applies. It
+also applies the claim rule for a gain: the pairs the change won (read
+better in; ties count for neither), the gap by which the change's median is
+better than the parent's, the parent's interquartile range, and
+`gain_shown`, true when the change won at least nine tenths of the pairs
+and the gap exceeds that range.
 --workload may repeat; the workloads run one after another.
 
 The metrics are those of perfbench's result line. The one number this
@@ -75,8 +80,10 @@ def summarize(pairs: list[dict], limits: dict) -> dict:
     """Per end-to-end metric: the medians of both sides, the parent's
     quartiles, the relative change of the medians and how many pairs the
     change read lower in; for a metric in limits (see end_to_end_limits)
-    also its direction, its bound and whether the change's median is worse
-    than the parent's by at most the bound."""
+    also its direction, its bound, whether the change's median is worse
+    than the parent's by at most the bound, and the claim rule: the pairs
+    the change won, the median gap in its favour, the parent's
+    interquartile range and whether the gain is shown."""
     out = {}
     for name in pairs[0]["parent"]["metrics"]:
         before = [p["parent"]["metrics"][name] for p in pairs]
@@ -90,8 +97,12 @@ def summarize(pairs: list[dict], limits: dict) -> dict:
                      "pairs": len(pairs)}
         if name in limits:
             better, bound = limits[name]["better"], limits[name]["bound"]
-            worse = med_a - med_b if better == "lower" else med_b - med_a
-            out[name].update(better=better, bound=bound, within_bound=worse <= bound * abs(med_b))
+            sign = 1.0 if better == "lower" else -1.0  # a gap or a win in the better direction
+            gap = sign * (med_b - med_a)
+            won = sum(sign * (b - a) > 0 for a, b in zip(after, before))
+            out[name].update(better=better, bound=bound, within_bound=-gap <= bound * abs(med_b),
+                             change_won=won, median_gap=gap, parent_iqr=q3 - q1,
+                             gain_shown=won >= 0.9 * len(pairs) and gap > q3 - q1)
     return out
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 INF = math.inf
@@ -56,7 +57,8 @@ class ProblemParams:
 
     p: diffusion exponent, finite and p > max(1, 2n/(n+2)); degenerate for
        p > 2, singular for p < 2.
-    n: spatial dimension (positive integer).
+    n: spatial dimension, a positive integer of any integer type but bool,
+       stored as an int.
     q, r: source integrability exponents, q > n, r > 2, inf allowed.
     alpha_h: gradient Hoelder exponent of the source-free flow, in (0, 1].
         Defaults to 1 when p = 2; must be given explicitly otherwise.
@@ -69,8 +71,9 @@ class ProblemParams:
     alpha_h: float | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 1):
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral) or self.n < 1:
             raise FieldError("n", f"must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
         p_floor = max(1.0, 2.0 * self.n / (self.n + 2.0))
         if not self.p > p_floor:
             raise FieldError("p", f"must exceed max(1, 2n/(n+2)) = {p_floor}, got {self.p}")

@@ -1,15 +1,17 @@
 """Finite-difference solver for u_t - div(|grad u|^(p-2) grad u) = f.
 
-One step operator (_StepOperator), built once per step from the lagged
-diffusivity (|grad u_old|^2 + eps^2)^((p-2)/2), serves every scheme and the
+One step operator (_StepOperator) of the lagged diffusivity
+(|grad u_old|^2 + eps^2)^((p-2)/2) serves every scheme and the
 semi-discrete residual, and one time loop marches every dimension under
-both schemes. The default scheme is semi-implicit: each step solves one SPD
-linear system with the operator's step solver, directly by cyclic reduction
-in 1D, and in 2D and 3D by conjugate gradients to relative residual
-_CG_RTOL within _CG_MAX_ITERS, preconditioned by the fast-diagonalisation
-(DST-I) inverse of the constant-coefficient step matrix with the mean
-coupling, scaled to the operator's diagonal. At p = 2 the step matrix never changes and the
-DST-I diagonalises it, so the semi-implicit march runs in the sine
+both schemes. A solve builds one operator and one step solver and refills
+them in place each step. The default scheme is semi-implicit: each step
+solves one SPD linear system with the step solver, directly by a
+cyclic-reduction plan in 1D, and in 2D and 3D by conjugate gradients to
+relative residual _CG_RTOL within _CG_MAX_ITERS, preconditioned by the
+fast-diagonalisation (DST-I) inverse of the constant-coefficient step
+matrix with the mean coupling, scaled to the operator's diagonal. At p = 2
+the step matrix never changes and the DST-I diagonalises it, so the
+semi-implicit march runs in the sine
 eigenbasis instead, a chunk of time slices per transform. The explicit
 scheme runs behind a CFL guard; a failed step names its step and time.
 Dirichlet data only; the theory being exercised is interior.
@@ -19,7 +21,8 @@ Alongside the solver live its verification surfaces: reference solutions
 weak-form residual of a candidate solution against a test function, and the
 two sides of the interior energy (Caccioppoli-type) inequality.
 
-A single solve is sequential in time; distinct solves share no state and
+A single solve is sequential in time; its operator, step solver and their
+arrays live inside the one solve call, so distinct solves share no state and
 may run concurrently.
 """
 
@@ -258,40 +261,85 @@ def _shifted(n: int, ax: int) -> tuple[tuple, tuple]:
     return _on_axis(n, ax, slice(0, -1)), _on_axis(n, ax, slice(1, None))
 
 
+def _difference_stencil(n: int, ax: int, h: float) -> tuple:
+    """np.gradient's stencil along axis ax of the trailing n axes, as rows
+    (at, plus, minus, step) with g[at] = (u[plus] - u[minus]) / step: central
+    differences inside, one-sided differences at the two ends."""
+    def at(sl):
+        return _on_axis(n, ax, sl)
+
+    return ((at(slice(1, -1)), at(slice(2, None)), at(slice(None, -2)), 2.0 * h),
+            (at(slice(0, 1)), at(slice(1, 2)), at(slice(0, 1)), h),
+            (at(slice(-1, None)), at(slice(-1, None)), at(slice(-2, -1)), h))
+
+
 class _StepOperator:
-    """The discrete operator of one step, built once from the lagged field u,
-    whose trailing n axes are space (leading axes are a batch).
+    """The discrete operator of one step from the lagged field u, whose
+    trailing n axes are space (leading axes are a batch). Its arrays are
+    allocated at construction for u's shape, and refill recomputes them in
+    place from the next lagged field of that shape, so a march builds one.
 
     couplings[ax] holds scale * D / h^2, D = (|grad u|^2 + eps^2)^((p-2)/2)
     averaged onto the axis-ax faces that touch an interior node; diag is the
     diagonal of the step matrix I - scale div(D grad .) on interior nodes.
-    _ends holds (couplings, interior end, its Dirichlet node) per axis end for
+    scratch, of diag's shape, is overwritten by refill and apply and free
+    between calls; the preconditioner transforms through it too. _ends holds
+    (couplings, interior end, its Dirichlet node) per axis end for
     add_boundary, indexed without an Ellipsis so a 1D end reads as a scalar.
     """
 
     def __init__(self, u: np.ndarray, n: int, h: float, p: float, eps: float, scale: float):
-        grads = np.gradient(u, h, axis=tuple(range(u.ndim - n, u.ndim)))
-        grads = [grads] if n == 1 else grads
-        d_node = grads[0] * grads[0]
-        for g in grads[1:]:
-            d_node += g * g
-        del grads
-        d_node += eps * eps
-        d_node **= (p - 2.0) / 2.0
         self.n = n
+        self._eps, self._p, self._scale = eps, p, scale / (h * h)
+        # d holds D, and the first axis's gradient before it is squared; g
+        # the gradient along each later axis, and scratch reuses its memory
+        d, g = np.empty(u.shape), np.empty(u.shape)
+        self._d, self._grad = d, g
+        self._stencils = [[((g if ax else d)[at], plus, minus, step) for at, plus, minus, step in
+                           _difference_stencil(n, ax, h)] for ax in range(n)]
+        batch = u.ndim - n
+        interior = u.shape[:batch] + tuple(k - 2 for k in u.shape[batch:])
+        self.diag = np.empty(interior)
+        self.scratch = g.reshape(-1)[:math.prod(interior)].reshape(interior)
         self.couplings = []
-        self.diag = 1.0
+        self._faces = []  # per axis: D on both sides of each face, its coupling and their ends
         self._ends = []
-        lead, inner = (slice(None),) * (u.ndim - n), (slice(1, -1),)
+        lead, inner = (slice(None),) * batch, (slice(1, -1),)
         for ax in range(n):
             lo, hi = _shifted(n, ax)
-            d = d_node[_on_axis(n, ax, slice(None), slice(1, -1))]
-            c = (scale / (h * h)) * (0.5 * (d[lo] + d[hi]))
+            nodes = d[_on_axis(n, ax, slice(None), slice(1, -1))]
+            c = np.empty(nodes[lo].shape)
             self.couplings.append(c)
-            self.diag = self.diag + c[lo] + c[hi]
+            self._faces.append((nodes[lo], nodes[hi], c, c[lo], c[hi]))
             for end in (0, -1):
                 self._ends.append((c, lead + (slice(None),) * ax + (end,),
                                    lead + inner * ax + (end,) + inner * (n - 1 - ax)))
+        self.refill(u)
+
+    def refill(self, u: np.ndarray) -> None:
+        """Recompute the operator in place from the lagged field u, of the
+        shape it was built for, with np.gradient's arithmetic."""
+        g, d = self._grad, self._d
+        for ax, stencil in enumerate(self._stencils):
+            for g_at, plus, minus, step in stencil:
+                np.subtract(u[plus], u[minus], out=g_at)
+                np.divide(g_at, step, out=g_at)
+            if ax == 0:
+                d *= d
+            else:
+                g *= g
+                d += g
+        d += self._eps * self._eps
+        d **= (self._p - 2.0) / 2.0
+        for ax, (d_lo, d_hi, c, c_lo, c_hi) in enumerate(self._faces):
+            np.add(d_lo, d_hi, out=c)
+            c *= 0.5
+            c *= self._scale
+            if ax == 0:
+                np.add(1.0, c_lo, out=self.diag)
+            else:
+                self.diag += c_lo
+            self.diag += c_hi
 
     def flux(self, v: np.ndarray) -> np.ndarray:
         """scale * div(D grad v) at the interior nodes of v."""
@@ -305,13 +353,14 @@ class _StepOperator:
         return acc
 
     def apply(self, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The step matrix times the interior values w, written into out if given."""
+        """The step matrix times the interior values w, written into out if
+        given; the products go through scratch."""
         out = np.multiply(self.diag, w, out=out)
         for ax, c in enumerate(self.couplings):
             lo, hi = _shifted(self.n, ax)
             between = c[lo][hi]  # the faces between two interior nodes
-            out[lo] -= between * w[hi]
-            out[hi] -= between * w[lo]
+            out[lo] -= np.multiply(between, w[hi], out=self.scratch[hi])
+            out[hi] -= np.multiply(between, w[lo], out=self.scratch[lo])
         return out
 
     def add_boundary(self, rhs: np.ndarray, b: np.ndarray) -> None:
@@ -370,18 +419,23 @@ def _sine_transform(m: int, n: int, batch: int):
     return dst
 
 
-def _inverse_eigenvalues(m: int, n: int, c: float) -> np.ndarray:
-    """1 / (1 + c sum_ax lambda_k), lambda_k = 2 - 2 cos(k pi / (m + 1)): the
-    inverse of I + c * (negative Dirichlet Laplacian) on the m^n interior cube
-    in the DST-I basis, whose eigenvalues the lambda_k are per axis."""
+def _laplacian_eigenvalues(m: int, n: int) -> np.ndarray:
+    """sum_ax lambda_k, lambda_k = 2 - 2 cos(k pi / (m + 1)): the eigenvalues of
+    the negative Dirichlet Laplacian on the m^n interior cube in the DST-I
+    basis, whose eigenvalues the lambda_k are per axis."""
     lam = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, m + 1) / (m + 1))
-    mu = sum(lam.reshape([-1 if a == ax else 1 for a in range(n)]) for ax in range(n))
-    mu *= c
-    mu += 1.0
-    return np.reciprocal(mu, out=mu)
+    return sum(lam.reshape([-1 if a == ax else 1 for a in range(n)]) for ax in range(n))
 
 
-def _fast_diagonal_preconditioner(op: _StepOperator, basis: np.ndarray):
+def _inverse_eigenvalues(eigenvalues: np.ndarray, c: float, out: np.ndarray) -> np.ndarray:
+    """1 / (1 + c * eigenvalues) into out: with _laplacian_eigenvalues, the
+    inverse of I + c * (negative Dirichlet Laplacian) in the DST-I basis."""
+    np.multiply(eigenvalues, c, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
+
+
+class _FastDiagonalPreconditioner:
     """M^-1 r = s * Phi(Phi(s * r) / (1 + cbar sum_ax lambda_ax)) for the step matrix of op.
 
     Phi is the DST-I along every axis, which diagonalises the constant-
@@ -390,22 +444,32 @@ def _fast_diagonal_preconditioner(op: _StepOperator, basis: np.ndarray):
     Thomas 1964). cbar is the mean coupling and s = sqrt(mean(diag) / diag)
     scales that inverse to the operator's diagonal (Concus & Golub 1973). M
     is symmetric positive definite and, at p = 2, the exact inverse of the
-    step matrix. Returns precond(r, out), which writes M^-1 r into out.
+    step matrix. Calling it with (r, out) writes M^-1 r into out, with the
+    transforms going through op.scratch; refill takes s and cbar again from
+    op's diagonal, so a march refilling its operator builds one
+    preconditioner.
     """
-    m, n = basis.shape[0], op.n
-    dbar = float(np.mean(op.diag))
-    s = np.sqrt(dbar / op.diag)
-    inv_eig = _inverse_eigenvalues(m, n, (dbar - 1.0) / (2 * n))
-    work = np.empty_like(s)
 
-    def precond(r: np.ndarray, out: np.ndarray) -> None:
+    def __init__(self, op: _StepOperator, basis: np.ndarray):
+        self._op, self._basis = op, basis
+        self._eigenvalues = _laplacian_eigenvalues(basis.shape[0], op.n)
+        self._inv_eig = np.empty_like(self._eigenvalues)
+        self._s = np.empty_like(op.diag)
+        self.refill()
+
+    def refill(self) -> None:
+        diag = self._op.diag
+        dbar = float(np.mean(diag))
+        np.sqrt(np.divide(dbar, diag, out=self._s), out=self._s)
+        _inverse_eigenvalues(self._eigenvalues, (dbar - 1.0) / (2 * self._op.n), self._inv_eig)
+
+    def __call__(self, r: np.ndarray, out: np.ndarray) -> None:
+        s, work, basis, n = self._s, self._op.scratch, self._basis, self._op.n
         np.multiply(s, r, out=out)
         mid = _dst_all_axes(out, work, basis, n)
-        mid *= inv_eig
+        mid *= self._inv_eig
         back = _dst_all_axes(mid, work if mid is out else out, basis, n)
         np.multiply(s, back, out=out)
-
-    return precond
 
 
 # the conjugate-gradient stop of a 2D/3D semi-implicit step at p != 2
@@ -413,15 +477,16 @@ _CG_RTOL = 1e-10  # relative residual
 _CG_MAX_ITERS = 500  # iterations
 
 
-def _pcg(apply_a, b, x, precond, rtol, maxiter):
+def _pcg(apply_a, b, x, precond, rtol, maxiter, work):
     """Preconditioned conjugate gradients for apply_a(v, out) x = b from the
-    start x; precond(r, out) writes M^-1 r into out. x, r and p are updated
-    in place, so the loop's only temporaries are those inside apply_a, and
-    the preconditioner runs only on a residual that has not converged.
-    Returns (x, iterations)."""
-    r = apply_a(x, np.empty_like(b))
+    start x; precond(r, out) writes M^-1 r into out. work holds four arrays
+    of b's shape, the residual r, z = M^-1 r, the direction p and A p; they
+    and x are updated in place, so the loop's only temporaries are those
+    inside apply_a, and the preconditioner runs only on a residual that has
+    not converged. Returns (x, iterations)."""
+    r, z, p, ap = work
+    apply_a(x, r)
     np.subtract(b, r, out=r)
-    z, p, ap = np.empty_like(b), None, np.empty_like(b)
     bnorm = float(np.linalg.norm(b))
     target = rtol * (bnorm if bnorm > 0 else 1.0)
     for it in range(maxiter + 1):
@@ -431,8 +496,8 @@ def _pcg(apply_a, b, x, precond, rtol, maxiter):
             break
         precond(r, z)
         rz_new = float(np.vdot(r, z))
-        if p is None:
-            p = z.copy()
+        if it == 0:
+            np.copyto(p, z)
         else:
             p *= rz_new / rz
             p += z
@@ -450,67 +515,104 @@ def _pcg(apply_a, b, x, precond, rtol, maxiter):
     )
 
 
-def _tridiag_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a symmetric tridiagonal system by cyclic reduction (Hockney 1965).
+class _CyclicReduction:
+    """Solves symmetric tridiagonal systems of m unknowns by cyclic reduction
+    (Hockney 1965), one after another; a plan made once for a march.
 
-    diag holds the n main-diagonal entries and off the n - 1 entries beside
-    it. The system is padded with identity rows to 2^k - 1 unknowns. Each of
-    the k levels eliminates every other remaining unknown from the matrix and
-    the right-hand side together, in a few vectorised operations; level j
-    works in place on every 2^j-th row of the padded right-hand side. Back
-    substitution then recovers the eliminated rows from their solved
-    neighbours. Raises SolverError unless every pivot is positive and finite,
-    which for a step matrix of this solver fails only on non-finite input.
+    The system is padded with identity rows to 2^k - 1 unknowns. Each of the
+    k levels eliminates every other remaining unknown from the matrix and
+    the right-hand side together; level j works in place on every 2^j-th row
+    of the padded right-hand side. Back substitution then recovers the
+    eliminated rows from their solved neighbours. The plan allocates the
+    padded buffers and each level's pivot, multiplier and coupling arrays
+    once, and binds every view a solve reads into two lists of ufunc calls,
+    elimination and back substitution, so a solve makes only out= ufunc
+    calls. The last level holds one unknown and eliminates nothing.
     """
-    n = diag.size
-    size = (1 << n.bit_length()) - 1
-    b = np.ones(size)
-    b[:n] = diag
-    f = np.zeros(size - 1)  # negated off-diagonal
-    f[:n - 1] = -off
-    d = np.zeros(size)
-    d[:n] = rhs
-    inv = np.empty(size)  # the reciprocal pivots of all levels, packed
-    levels = []  # (reciprocal pivots, multipliers towards the right and left kept neighbour)
-    start = 0
-    stride = 1
-    while b.size:
-        piv_inv = np.divide(1.0, b[::2], out=inv[start:start + (b.size + 1) // 2])
-        start += piv_inv.size
-        f_lo, f_hi = f[0::2], f[1::2]
-        lo = f_lo * piv_inv[:-1]
-        hi = f_hi * piv_inv[1:]
-        levels.append((piv_inv, lo, hi))
-        b = b[1::2] - lo * f_lo - hi * f_hi
-        f = hi[:-1] * f_lo[1:]
-        rows = d[stride - 1::stride]
-        kept = rows[1::2]
-        kept += lo * rows[0:-1:2]
-        kept += hi * rows[2::2]
-        stride *= 2
-    if not (inv.min() > 0.0 and inv.max() < INF):
-        with np.errstate(divide="ignore"):
-            pivots = 1.0 / inv
-        bad = pivots[~(np.isfinite(pivots) & (pivots > 0.0))][0]
-        raise SolverError(f"tridiagonal pivot {bad:.6g} is not positive and finite")
-    for piv_inv, lo, hi in reversed(levels):
-        stride //= 2
-        rows = d[stride - 1::stride]
-        elim, kept = rows[0::2], rows[1::2]
-        elim *= piv_inv
-        elim[:-1] += lo * kept
-        elim[1:] += hi * kept
-    return d[:n]
+
+    def __init__(self, m: int):
+        size = (1 << m.bit_length()) - 1
+        b, f = np.ones(size), np.zeros(size - 1)  # diagonal and couplings, identity padded
+        d = np.zeros(size)  # the right-hand side, solved in place
+        self._inv = np.empty(size)  # the reciprocal pivots of all levels, packed
+        self._head = b[:m], f[:m - 1], d[:m]
+        self._pad = d[m:] if m < size else None
+        scratch = np.empty(size // 2)
+        self._eliminate, self._substitute = [], []
+        start, stride = 0, 1
+        while b.size > 1:
+            kept_rows = b.size // 2  # and kept_rows + 1 eliminated rows
+            piv_inv = self._inv[start:start + kept_rows + 1]
+            start += kept_rows + 1
+            lo, hi, b_next = np.empty(kept_rows), np.empty(kept_rows), np.empty(kept_rows)
+            f_next, t = np.empty(kept_rows - 1), scratch[:kept_rows]
+            f_lo, f_hi = f[0::2], f[1::2]
+            rows = d[stride - 1::stride]
+            elim, kept = rows[0::2], rows[1::2]
+            self._eliminate += [
+                (np.divide, 1.0, b[0::2], piv_inv),
+                (np.multiply, f_lo, piv_inv[:-1], lo),  # the multipliers towards the
+                (np.multiply, f_hi, piv_inv[1:], hi),  # left and right kept neighbour
+                (np.multiply, lo, f_lo, t), (np.subtract, b[1::2], t, b_next),
+                (np.multiply, hi, f_hi, t), (np.subtract, b_next, t, b_next),
+            ] + ([(np.multiply, hi[:-1], f_lo[1:], f_next)] if kept_rows > 1 else []) + [
+                (np.multiply, lo, elim[:-1], t), (np.add, kept, t, kept),
+                (np.multiply, hi, elim[1:], t), (np.add, kept, t, kept),
+            ]
+            self._substitute[:0] = [
+                (np.multiply, elim, piv_inv, elim),
+                (np.multiply, lo, kept, t), (np.add, elim[:-1], t, elim[:-1]),
+                (np.multiply, hi, kept, t), (np.add, elim[1:], t, elim[1:]),
+            ]
+            b, f = b_next, f_next
+            stride *= 2
+        piv_inv, last = self._inv[start:], d[stride - 1:stride]
+        self._eliminate.append((np.divide, 1.0, b, piv_inv))
+        self._substitute.insert(0, (np.multiply, last, piv_inv, last))
+
+    def solve(self, diag: np.ndarray, coupling: np.ndarray, rhs: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
+        """Solve the system with the m main-diagonal entries diag and the m - 1
+        entries beside it -coupling against rhs, into out. Raises SolverError
+        unless every pivot is positive and finite, which for a step matrix of
+        this solver fails only on non-finite input; the plan stays usable."""
+        b, f, d = self._head
+        np.copyto(b, diag)
+        np.copyto(f, coupling)
+        np.copyto(d, rhs)
+        if self._pad is not None:
+            self._pad.fill(0.0)
+        for ufunc, x, y, z in self._eliminate:
+            ufunc(x, y, z)
+        inv = self._inv
+        if not (inv.min() > 0.0 and inv.max() < INF):
+            with np.errstate(divide="ignore"):
+                pivots = 1.0 / inv
+            bad = pivots[~(np.isfinite(pivots) & (pivots > 0.0))][0]
+            raise SolverError(f"tridiagonal pivot {bad:.6g} is not positive and finite")
+        for ufunc, x, y, z in self._substitute:
+            ufunc(x, y, z)
+        np.copyto(out, d)
+        return out
 
 
 def _step_solver(op: _StepOperator, basis: np.ndarray | None):
-    """step_solve(rhs, x) solves the step matrix of op against rhs into x,
-    which holds the start: by cyclic reduction in 1D, by preconditioned
-    conjugate gradients in 2D and 3D."""
+    """step_solve(rhs, x) solves the step matrix that op holds at the call
+    against rhs into x, which holds the start: by a cyclic-reduction plan in
+    1D, by preconditioned conjugate gradients in 2D and 3D, with the
+    preconditioner refilled from op and the iteration's arrays allocated
+    once. Built once per march."""
     if op.n == 1:
-        return lambda rhs, x: np.copyto(x, _tridiag_solve(op.diag, -op.couplings[0][1:-1], rhs))
-    precond = _fast_diagonal_preconditioner(op, basis)
-    return lambda rhs, x: _pcg(op.apply, rhs, x, precond, _CG_RTOL, _CG_MAX_ITERS)
+        plan, coupling = _CyclicReduction(op.diag.size), op.couplings[0][1:-1]
+        return lambda rhs, x: plan.solve(op.diag, coupling, rhs, x)
+    precond = _FastDiagonalPreconditioner(op, basis)
+    work = tuple(np.empty_like(op.diag) for _ in range(4))
+
+    def step_solve(rhs, x):
+        precond.refill()
+        _pcg(op.apply, rhs, x, precond, _CG_RTOL, _CG_MAX_ITERS, work)
+
+    return step_solve
 
 
 # time slices are handled in chunks (of at least one slice) whose working
@@ -536,7 +638,8 @@ def _sine_march(out: np.ndarray, grid: SpaceTimeGrid, boundary_at, source_at) ->
     m = grid.nodes_per_axis - 2
     inner = (slice(None),) + (slice(1, -1),) * n
     op = _StepOperator(np.zeros((1,) + grid.spatial_shape), n, grid.h, 2.0, 0.0, dt)
-    mu = _inverse_eigenvalues(m, n, dt / (grid.h * grid.h))
+    mu = _laplacian_eigenvalues(m, n)
+    _inverse_eigenvalues(mu, dt / (grid.h * grid.h), mu)
     # the transform's workspace holds at most _CHUNK_NODES values (in 1D, the
     # odd extension and its spectrum, that is four per node of a slice) and
     # no more slices than the march has
@@ -575,8 +678,9 @@ def solve(
     Semi-implicit: one SPD solve per step with the lagged diffusivity,
     unconditionally stable, first order in dt and second in h. At p = 2 the
     step matrix never changes and the march runs in its sine eigenbasis
-    (_sine_march), exact to rounding; otherwise the step solver
-    (_step_solver) is direct in 1D and conjugate gradients in 2D and 3D.
+    (_sine_march), exact to rounding; otherwise one operator, one step
+    solver (_step_solver: direct in 1D, conjugate gradients in 2D and 3D)
+    and one right-hand side are allocated per solve and refilled each step.
     The source is read through _source_reader, so no space-time source
     field is built for zero, constant or separable-power kinds.
     Explicit: forward Euler, guarded by dt <= 0.9 h^2 / (2 n max D).
@@ -609,28 +713,31 @@ def solve(
         _sine_march(out, grid, boundary_at, source_at)
         return GridFunction._adopt(grid, out)
     basis = None if explicit or grid.n == 1 else _dst_basis(grid.nodes_per_axis - 2)
-    op = step_solve = None
+    op = step_solve = rhs = None
     for m in range(1, grid.num_times):
         try:
             if op is None or p != 2.0:  # at p = 2, D = 1 whatever u is
-                op = step_solve = None  # the last step's solver goes before the next build
-                op = _StepOperator(u, grid.n, h, p, eps, dt)
+                if op is None:  # one operator, step solver and right-hand side per solve
+                    op = _StepOperator(u, grid.n, h, p, eps, dt)
+                    if not explicit:
+                        step_solve, rhs = _step_solver(op, basis), np.empty(op.diag.shape)
+                else:
+                    op.refill(u)
                 cmax = max(float(c.max()) for c in op.couplings) if explicit else 0.0
                 if cmax > 0.45 / grid.n:  # dt > 0.9 h^2 / (2 n max D)
                     dmax = cmax * h * h / dt
                     raise CflError(f"explicit dt={dt:.3e} exceeds stability bound "
                                    f"{0.45 * h * h / (grid.n * dmax):.3e} (max diffusivity {dmax:.3e})")
-                step_solve = None if explicit else _step_solver(op, basis)
             u_new = out[m]
             u_new[...] = boundary_at(times[m])
             if explicit:
                 u_new[inner] = u[inner] + op.flux(u) + dt * source_at((m - 1,) + inner)
             else:
-                rhs = u[inner] + dt * source_at((m,) + inner)
+                np.multiply(dt, source_at((m,) + inner), out=rhs)
+                rhs += u[inner]  # u + dt f: addition commutes exactly
                 op.add_boundary(rhs, u_new)
                 u_new[inner] = u[inner]  # the start, solved in place
                 step_solve(rhs, u_new[inner])
-                del rhs  # the step's workspace goes before the next build
             if not np.isfinite(u_new).all():
                 raise SolverError("solution is not finite")
         except CflError:

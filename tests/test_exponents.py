@@ -67,6 +67,16 @@ def test_a_range_error_names_its_field(kwargs, field):
     assert err.value.field == field
 
 
+def test_n_is_any_integer_but_a_bool_and_is_stored_as_an_int():
+    params = ProblemParams(p=2.0, n=np.int64(2), q=8.0, r=8.0)
+    assert params.n == 2 and type(params.n) is int
+    assert params == ProblemParams(p=2.0, n=2, q=8.0, r=8.0)
+    for bad in (True, np.bool_(True), 2.0):
+        with pytest.raises(ValueError, match="^n: ") as err:
+            ProblemParams(p=2.0, n=bad, q=8.0, r=8.0)
+        assert err.value.field == "n"
+
+
 def test_construction_rejects_an_infinite_p():
     with pytest.raises(ValueError, match=r"^p: must be finite, got inf$"):
         ProblemParams(p=INF, n=2, q=8.0, r=8.0, alpha_h=1.0)

@@ -100,6 +100,34 @@ def test_bench_checks_each_metric_against_its_bound_in_the_benchmark():
     assert "within_bound" not in higher["setup_s"]  # no bound declared for it
 
 
+def test_bench_shows_a_gain_only_by_nine_tenths_of_the_pairs_and_a_gap_beyond_the_spread():
+    bench = load_script("bench")
+    limits = {"wall_s": {"better": "lower", "bound": 0.25}, "setup_s": {"better": "lower", "bound": 0.25}}
+    # wall_s: the change reads lower in 9 pairs and ties in one, and its
+    # median is 0.195 s below the parent's, whose quartiles are 0.035 s apart
+    parent_wall = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+    change_wall = [0.80, 0.82, 0.79, 0.81, 0.80, 0.83, 0.97, 0.80, 0.81, 0.79]
+    # setup_s: lower in every pair, but by 0.01 s against a 0.1 s spread
+    parent_setup = [0.20, 0.30] * 5
+    change_setup = [s - 0.01 for s in parent_setup]
+    pairs = [{"parent": {"metrics": {"wall_s": pw, "setup_s": ps}},
+              "change": {"metrics": {"wall_s": cw, "setup_s": cs}}}
+             for pw, cw, ps, cs in zip(parent_wall, change_wall, parent_setup, change_setup)]
+    summary = bench.summarize(pairs, limits)
+    wall, setup = summary["wall_s"], summary["setup_s"]
+    assert wall["change_won"] == 9 and wall["change_lower"] == 9  # the tie counts for neither
+    assert wall["median_gap"] == pytest.approx(0.195)
+    assert wall["parent_iqr"] == pytest.approx(0.035)
+    assert wall["gain_shown"] is True
+    assert setup["change_won"] == 10
+    assert setup["median_gap"] == pytest.approx(0.01) and setup["parent_iqr"] == pytest.approx(0.1)
+    assert setup["gain_shown"] is False
+    # read the other way, the wall-time pairs are losses and the gap is negative
+    higher = bench.summarize(pairs, {"wall_s": {"better": "higher", "bound": 0.25}})["wall_s"]
+    assert higher["change_won"] == 0 and higher["median_gap"] == pytest.approx(-0.195)
+    assert higher["gain_shown"] is False and higher["within_bound"] is True
+
+
 def test_bench_alternates_sides_and_records_each_runs_child_cpu_seconds(monkeypatch, tmp_path):
     bench = load_script("bench")
     parent, change = tmp_path / "parent", tmp_path / "change"

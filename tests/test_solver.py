@@ -36,14 +36,14 @@ from plaplab.solver import (
     weak_residual,
 )
 from plaplab.solver import (
+    _CyclicReduction,
     _dst_basis,
-    _fast_diagonal_preconditioner,
+    _FastDiagonalPreconditioner,
     _pcg,
     _shifted,
     _source_factors,
     _source_reader,
     _StepOperator,
-    _tridiag_solve,
 )
 
 
@@ -376,6 +376,10 @@ def _random_coupling_operator(n, m, seed):
     return op
 
 
+def _cg_work(b):
+    return tuple(np.empty_like(b) for _ in range(4))
+
+
 def _dense(linear, size, shape):
     cols = []
     for k in range(size):
@@ -389,7 +393,7 @@ def _dense(linear, size, shape):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_preconditioner_is_symmetric_positive_definite(n, m, seed):
     op = _random_coupling_operator(n, m, seed)
-    precond = _fast_diagonal_preconditioner(op, _dst_basis(m))
+    precond = _FastDiagonalPreconditioner(op, _dst_basis(m))
 
     def minv(r):
         out = np.empty_like(r)
@@ -413,13 +417,13 @@ def test_preconditioner_is_exact_at_p2(n):
     rng = np.random.default_rng(n)
     u = rng.standard_normal((m + 2,) * n)
     op = _StepOperator(u, n, h, 2.0, h, 3e-2)
-    precond = _fast_diagonal_preconditioner(op, _dst_basis(m))
+    precond = _FastDiagonalPreconditioner(op, _dst_basis(m))
     r = rng.standard_normal((m,) * n)
     z = np.empty_like(r)
     precond(r, z)
     assert np.max(np.abs(op.apply(z) - r)) <= 1e-12 * np.max(np.abs(r))
     x0 = rng.standard_normal((m,) * n)
-    x, iters = _pcg(op.apply, r, x0, precond, 1e-10, 5)
+    x, iters = _pcg(op.apply, r, x0, precond, 1e-10, 5, _cg_work(r))
     assert iters == 1
     assert x is x0
     assert np.linalg.norm(op.apply(x) - r) <= 1e-10 * np.linalg.norm(r)
@@ -432,8 +436,9 @@ def test_preconditioned_3d_p3_step_iterations():
     u = reference_solutions("heat_mode", 2.0, 3, g).values[0]
     op = _StepOperator(u, 3, g.h, 3.0, g.h, g.dt)
     inner = (slice(1, -1),) * 3
-    precond = _fast_diagonal_preconditioner(op, _dst_basis(g.nodes_per_axis - 2))
-    x, iters = _pcg(op.apply, u[inner].copy(), u[inner].copy(), precond, 1e-10, 500)
+    precond = _FastDiagonalPreconditioner(op, _dst_basis(g.nodes_per_axis - 2))
+    rhs = u[inner].copy()
+    x, iters = _pcg(op.apply, rhs, u[inner].copy(), precond, 1e-10, 500, _cg_work(rhs))
     assert iters <= 16
     assert np.linalg.norm(op.apply(x) - u[inner]) <= 1e-10 * np.linalg.norm(u[inner])
 
@@ -443,9 +448,9 @@ def test_inner_solve_may_converge_on_its_last_iteration():
     g = SpaceTimeGrid(n=2, extent=1.0, h=1 / 16, dt=1 / 64, t_start=0.0, t_end=3 / 64)
     init = np.random.default_rng(0).random(g.spatial_shape)
     op = _StepOperator(init, 2, g.h, 2.0, g.h, g.dt)
-    precond = _fast_diagonal_preconditioner(op, _dst_basis(g.nodes_per_axis - 2))
+    precond = _FastDiagonalPreconditioner(op, _dst_basis(g.nodes_per_axis - 2))
     rhs = init[1:-1, 1:-1] + g.dt
-    _, iters = _pcg(op.apply, rhs, np.zeros_like(rhs), precond, 1e-10, 1)
+    _, iters = _pcg(op.apply, rhs, np.zeros_like(rhs), precond, 1e-10, 1, _cg_work(rhs))
     assert iters == 1
 
 
@@ -466,11 +471,12 @@ def test_direct_solve_reports_nan_initial_data(p, what):
 @pytest.mark.parametrize("p", [2.0, 3.0])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_step_solver_is_built_once_per_solve_at_p2(monkeypatch, n, p):
-    # at p = 2 the step matrix never changes: its operator is built once per
-    # solve and no step solver at all, since the march runs in the sine
-    # eigenbasis; at p = 3 both are built every step (in 1D the step
-    # solver is one cyclic-reduction solve per step)
-    builder = "_tridiag_solve" if n == 1 else "_fast_diagonal_preconditioner"
+    # one operator per solve: at p = 2 the step matrix never changes and no
+    # step solver is built at all, since the march runs in the sine
+    # eigenbasis; at p = 3 the operator is refilled every step and one step
+    # solver (in 1D a cyclic-reduction plan, in 2D and 3D a preconditioner)
+    # solves them all
+    builder = "_CyclicReduction" if n == 1 else "_FastDiagonalPreconditioner"
     counts = {builder: 0, "_StepOperator": 0}
 
     def counting(name):
@@ -488,8 +494,7 @@ def test_step_solver_is_built_once_per_solve_at_p2(monkeypatch, n, p):
     g = box_grid(n, h, h * h, steps)
     init = reference_solutions("heat_mode", 2.0, n, g).values[0]
     solve(g, SolveConfig(p=p, boundary=BoundarySpec(kind="zero")), SourceSpec(kind="zero"), init)
-    assert counts == ({builder: 0, "_StepOperator": 1} if p == 2.0
-                      else {builder: steps, "_StepOperator": steps})
+    assert counts == {builder: 0 if p == 2.0 else 1, "_StepOperator": 1}
 
 
 @pytest.mark.parametrize("scheme", ["semi_implicit", "explicit"])
@@ -514,7 +519,9 @@ def test_cfl_error_is_not_renamed_by_the_step_report():
 
 
 def _march_tridiagonal_reference(grid, config, source, initial):
-    # the 1D semi-implicit march as its own loop, with its own boundary terms
+    # the 1D march as its own loop, with its own boundary terms: a fresh
+    # operator every step at p != 2 and a fresh cyclic-reduction plan every
+    # semi-implicit step, so no workspace outlives its step
     p, eps, h, dt = config.p, config.resolved_eps(grid), grid.h, grid.dt
     source_at = _source_reader(source, grid)
     times = grid.times()
@@ -527,10 +534,13 @@ def _march_tridiagonal_reference(grid, config, source, initial):
             op = _StepOperator(u, 1, h, p, eps, dt)
             c = op.couplings[0]
         b = config.boundary.evaluate(grid, times[m], p)
-        rhs = u[1:-1] + dt * source_at((m, slice(1, -1)))
-        rhs[0] += c[0] * b[0]
-        rhs[-1] += c[-1] * b[-1]
-        w = _tridiag_solve(op.diag, -c[1:-1], rhs)
+        if config.scheme == "explicit":
+            w = u[1:-1] + op.flux(u) + dt * source_at((m - 1, slice(1, -1)))
+        else:
+            rhs = u[1:-1] + dt * source_at((m, slice(1, -1)))
+            rhs[0] += c[0] * b[0]
+            rhs[-1] += c[-1] * b[-1]
+            w = _CyclicReduction(rhs.size).solve(op.diag, c[1:-1], rhs, np.empty_like(rhs))
         u = out[m]
         u[0], u[-1] = b[0], b[-1]
         u[1:-1] = w
@@ -543,21 +553,28 @@ def _march_tridiagonal_reference(grid, config, source, initial):
     (3.0, "barenblatt"),
 ])
 def test_1d_solve_matches_its_own_tridiagonal_march(p, boundary):
+    # both schemes at p = 3; the explicit march takes dt inside its bound
     t0 = 1.0 if boundary == "barenblatt" else 0.0
-    g = grid1d(h=1 / 32, dt=1 / 512, t_start=t0, t_end=t0 + 0.05)
+    h = 1 / 32
     bd = {"zero": BoundarySpec(kind="zero"),
           "affine": BoundarySpec(kind="affine", value=0.1, gradient=(0.3,)),
           "barenblatt": BoundarySpec(kind="reference", name="barenblatt")}[boundary]
-    init = bd.evaluate(g, t0, p) + 0.05 * np.random.default_rng(7).standard_normal(g.spatial_shape)
-    cfg = SolveConfig(p=p, boundary=bd)
-    for src in (SourceSpec(kind="zero"),
-                SourceSpec(kind="separable_power", a=0.0, b=0.2, q=np.inf, r=4.0)):
-        got = solve(g, cfg, src, init).values
-        want = _march_tridiagonal_reference(g, cfg, src, init)
-        if p == 2.0:  # the sine-basis march: the same steps, rounded differently
-            _assert_march_close(got, want)
-        else:  # the shared time loop reproduces it bit for bit
-            assert np.array_equal(got, want)
+    init = bd.evaluate(grid1d(h=h, t_start=t0, t_end=t0 + 0.05), t0, p)
+    init = init + 0.05 * np.random.default_rng(7).standard_normal(init.shape)
+    for scheme in ("semi_implicit", "explicit") if p == 3.0 else ("semi_implicit",):
+        if scheme == "semi_implicit":
+            g = grid1d(h=h, dt=1 / 512, t_start=t0, t_end=t0 + 0.05)
+        else:
+            g = grid1d(h=h, dt=0.05 * h * h, t_start=t0, t_end=t0 + 0.005)
+        cfg = SolveConfig(p=p, scheme=scheme, boundary=bd)
+        for src in (SourceSpec(kind="zero"),
+                    SourceSpec(kind="separable_power", a=0.0, b=0.2, q=np.inf, r=4.0)):
+            got = solve(g, cfg, src, init).values
+            want = _march_tridiagonal_reference(g, cfg, src, init)
+            if p == 2.0:  # the sine-basis march: the same steps, rounded differently
+                _assert_march_close(got, want)
+            else:  # the shared time loop reproduces it bit for bit
+                assert np.array_equal(got, want)
 
 
 def _assert_march_close(got, want):
@@ -575,12 +592,12 @@ def _march_pcg_reference(grid, config, source, initial):
     out[0] = config.boundary.evaluate(grid, times[0], 2.0)
     out[0][inner] = initial[inner]
     op = _StepOperator(out[0], grid.n, h, 2.0, h, dt)
-    precond = _fast_diagonal_preconditioner(op, _dst_basis(grid.nodes_per_axis - 2))
+    precond = _FastDiagonalPreconditioner(op, _dst_basis(grid.nodes_per_axis - 2))
     for m in range(1, len(times)):
         out[m] = config.boundary.evaluate(grid, times[m], 2.0)
         rhs = out[m - 1][inner] + dt * source_at((m,) + inner)
         op.add_boundary(rhs, out[m])
-        x, _ = _pcg(op.apply, rhs, out[m - 1][inner].copy(), precond, 1e-13, 20)
+        x, _ = _pcg(op.apply, rhs, out[m - 1][inner].copy(), precond, 1e-13, 20, _cg_work(rhs))
         out[m][inner] = x
     return out
 
@@ -606,6 +623,45 @@ def test_nd_p2_march_matches_a_conjugate_gradient_march(n, boundary):
                 SourceSpec(kind="separable_power", a=0.3, b=0.2, q=4.0, r=4.0),
                 SourceSpec(kind="tabulated", table=table)):
         _assert_march_close(solve(g, cfg, src, init).values, _march_pcg_reference(g, cfg, src, init))
+
+
+def _march_fresh_pcg_reference(grid, config, source, initial):
+    # the 2D/3D semi-implicit march with a fresh operator, preconditioner and
+    # conjugate-gradient workspace every step, at the solver's stop
+    p, eps, h, dt, times = config.p, config.resolved_eps(grid), grid.h, grid.dt, grid.times()
+    inner = (slice(1, -1),) * grid.n
+    source_at = _source_reader(source, grid)
+    basis = _dst_basis(grid.nodes_per_axis - 2)
+    out = np.empty(grid.shape)
+    out[0] = config.boundary.evaluate(grid, times[0], p)
+    out[0][inner] = initial[inner]
+    for m in range(1, len(times)):
+        op = _StepOperator(out[m - 1], grid.n, h, p, eps, dt)
+        precond = _FastDiagonalPreconditioner(op, basis)
+        out[m] = config.boundary.evaluate(grid, times[m], p)
+        rhs = out[m - 1][inner] + dt * source_at((m,) + inner)
+        op.add_boundary(rhs, out[m])
+        x, _ = _pcg(op.apply, rhs, out[m - 1][inner].copy(), precond,
+                    solver_module._CG_RTOL, solver_module._CG_MAX_ITERS, _cg_work(rhs))
+        out[m][inner] = x
+    return out
+
+
+@pytest.mark.parametrize("boundary", ["zero", "affine", "heat_mode"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_nd_p3_march_matches_a_march_built_afresh_every_step(n, boundary):
+    # the solve refills one operator and one preconditioner and reuses one
+    # workspace; building them afresh every step must give the same bits
+    h = {2: 1 / 8, 3: 1 / 4}[n]
+    g = box_grid(n, h, h * h, 6)
+    bd = _boundary(boundary, n)
+    rng = np.random.default_rng(n)
+    init = bd.evaluate(g, 0.0, 3.0) + 0.1 * rng.standard_normal(g.spatial_shape)
+    cfg = SolveConfig(p=3.0, boundary=bd)
+    for src in (SourceSpec(kind="zero"), SourceSpec(kind="constant", c=0.7),
+                SourceSpec(kind="separable_power", a=0.3, b=0.2, q=4.0, r=4.0)):
+        got = solve(g, cfg, src, init).values
+        assert np.array_equal(got, _march_fresh_pcg_reference(g, cfg, src, init))
 
 
 def _chunked_case(monkeypatch, n):
@@ -641,12 +697,17 @@ def test_p2_march_names_the_step_of_a_nan_source_in_a_later_chunk(monkeypatch, n
 
 
 def _tridiagonal_system(n, seed, scale):
-    # the step matrix of the solver: face couplings c = dt D / h^2 > 0 with
-    # contrast up to 1e3 and magnitude up to 1e4; the rounding of the residual
-    # grows like eps * max c
+    # the step matrix of the solver, as (diagonal, couplings, rhs): face
+    # couplings c = dt D / h^2 > 0 beside the diagonal, negated, with
+    # contrast up to 1e3 and magnitude up to 1e4; the rounding of the
+    # residual grows like eps * max c
     rng = np.random.default_rng(seed)
     c = scale * 10.0 ** rng.uniform(0.0, 3.0, n + 1)
-    return 1.0 + c[:-1] + c[1:], -c[1:-1], rng.standard_normal(n)
+    return 1.0 + c[:-1] + c[1:], c[1:-1], rng.standard_normal(n)
+
+
+def _solve_fresh(diag, coupling, rhs):
+    return _CyclicReduction(diag.size).solve(diag, coupling, rhs, np.empty_like(rhs))
 
 
 @settings(max_examples=60, deadline=None)
@@ -654,20 +715,42 @@ def _tridiagonal_system(n, seed, scale):
        seed=st.integers(0, 2**32 - 1),
        scale=st.floats(1e-3, 10.0))
 def test_tridiagonal_solve_matches_dense(n, seed, scale):
-    diag, off, rhs = _tridiagonal_system(n, seed, scale)
-    x = _tridiag_solve(diag, off, rhs)
-    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    diag, coupling, rhs = _tridiagonal_system(n, seed, scale)
+    x = _solve_fresh(diag, coupling, rhs)
+    dense = np.diag(diag) - np.diag(coupling, 1) - np.diag(coupling, -1)
     residual = np.linalg.norm(dense @ x - rhs) / np.linalg.norm(rhs)
     assert residual <= 1e-12
     exact = np.linalg.solve(dense, rhs)
     assert np.linalg.norm(x - exact) <= 1e-10 * np.linalg.norm(exact)
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.one_of(st.integers(1, 600), st.sampled_from([1, 2, 3, 4, 7, 8, 511, 512])),
+       seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=4),
+       scale=st.floats(1e-3, 10.0), bad=st.integers(0, 3))
+def test_one_plan_solves_a_sequence_of_systems_as_fresh_plans_do(n, seeds, scale, bad):
+    # a march solves one system per step with one plan; every solve must be
+    # a fresh plan's bit for bit, also after a solve that failed on a bad pivot
+    plan = _CyclicReduction(n)
+    for k, seed in enumerate(seeds):
+        diag, coupling, rhs = _tridiagonal_system(n, seed, scale)
+        if k == bad:
+            poisoned = diag.copy()
+            poisoned[seed % n] = np.nan
+            with pytest.raises(SolverError, match="pivot"):
+                plan.solve(poisoned, coupling, rhs, np.empty(n))
+        x = plan.solve(diag, coupling, rhs, np.empty(n))
+        assert np.array_equal(x, _solve_fresh(diag, coupling, rhs))
+        dense = np.diag(diag) - np.diag(coupling, 1) - np.diag(coupling, -1)
+        exact = np.linalg.solve(dense, rhs)
+        assert np.linalg.norm(x - exact) <= 1e-10 * np.linalg.norm(exact)
+
+
 def test_tridiagonal_factor_rejects_bad_pivots():
     with pytest.raises(SolverError, match="pivot"):
-        _tridiag_solve(np.array([1.0, -3.0, 1.0]), np.array([0.5, 0.5]), np.ones(3))
+        _solve_fresh(np.array([1.0, -3.0, 1.0]), np.array([-0.5, -0.5]), np.ones(3))
     with pytest.raises(SolverError, match="pivot"):
-        _tridiag_solve(np.array([1.0, np.inf, 1.0]), np.array([0.5, 0.5]), np.ones(3))
+        _solve_fresh(np.array([1.0, np.inf, 1.0]), np.array([-0.5, -0.5]), np.ones(3))
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
