@@ -1,4 +1,4 @@
-"""Alternating before/after runs of one perfbench workload, summarized.
+"""Alternating before/after runs of perfbench workloads, summarized.
 
     python3 scripts/bench.py --parent ../parent --change . --workload probe-sweep \
         --pairs 10 --seed 1000 --out BENCH_<n>.json
@@ -19,7 +19,10 @@ better in; ties count for neither), the gap by which the change's median is
 better than the parent's, the parent's interquartile range, and
 `gain_shown`, true when the change won at least nine tenths of the pairs
 and the gap exceeds that range.
---workload may repeat; the workloads run one after another.
+--workload may repeat; the workloads run one after another. Without it,
+every workload that BENCHMARK.json lists runs, in its order. The report
+records, for each checkout, the commit it holds (`git rev-parse HEAD`) and
+whether its tree is clean (`git status --porcelain` prints nothing).
 
 The metrics are those of perfbench's result line. The one number this
 script measures itself is each run's CPU time, `cpu_s`: the user plus
@@ -49,6 +52,20 @@ def end_to_end_limits(path: Path = BENCHMARK) -> dict:
     the end-to-end metrics the benchmark declares."""
     return {m["name"]: {"better": m["better"], "bound": m["bound"]}
             for m in json.loads(path.read_text())["end_to_end"]}
+
+
+def benchmark_workloads(path: Path = BENCHMARK) -> list[str]:
+    """The names of the workloads the benchmark declares, in its order."""
+    return [w["name"] for w in json.loads(path.read_text())["workloads"]]
+
+
+def checkout_state(checkout: Path) -> dict:
+    """The commit a git checkout holds and whether its tree is clean."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True,
+                              check=True).stdout
+
+    return {"commit": git("rev-parse", "HEAD").strip(), "clean": git("status", "--porcelain") == ""}
 
 
 def parse_result(stdout: str) -> dict:
@@ -127,7 +144,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
-    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--workload", action="append",
+                        help="a workload to run (repeatable); default: every one in BENCHMARK.json")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0, help="seed of the first pair")
     parser.add_argument("--seconds", type=float, default=25.0)
@@ -135,8 +153,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 for quartiles")
-    report = {"workloads": {}}
-    for workload in args.workload:
+    report = {"checkouts": {side: checkout_state(path)
+                            for side, path in zip(SIDES, (args.parent, args.change))},
+              "workloads": {}}
+    for workload in args.workload or benchmark_workloads():
         report["workloads"][workload] = bench(args.parent, args.change, workload, args.pairs,
                                               args.seed, args.seconds)
         args.out.write_text(json.dumps(report, indent=1) + "\n")

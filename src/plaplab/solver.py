@@ -9,12 +9,18 @@ solves one SPD linear system with the step solver, directly by a
 cyclic-reduction plan in 1D, and in 2D and 3D by conjugate gradients to
 relative residual _CG_RTOL within _CG_MAX_ITERS, preconditioned by the
 fast-diagonalisation (DST-I) inverse of the constant-coefficient step
-matrix with the mean coupling, scaled to the operator's diagonal. At p = 2
-the step matrix never changes and the DST-I diagonalises it, so the
-semi-implicit march runs in the sine
-eigenbasis instead, a chunk of time slices per transform. The explicit
-scheme runs behind a CFL guard; a failed step names its step and time.
-Dirichlet data only; the theory being exercised is interior.
+matrix with the mean coupling, scaled to the operator's diagonal. Each
+conjugate-gradient step starts from the projection onto the last three
+solved slices (_projected_start, Fischer 1998), whose products with the
+new step matrix live in the iteration's own arrays. At p = 2 the step
+matrix never changes and the DST-I diagonalises it, so the semi-implicit
+march runs in the sine eigenbasis instead, a chunk of time slices per
+transform. The DST-I (_SineTransform) is the real FFT of the odd
+extension in 1D, the sine matrix folded by its row parity in 2D (half the
+flops), and plain sine-matrix products in 3D, where the folding passes
+over the cube cost what they save. The explicit scheme runs behind a CFL
+guard; a failed step names its step and time. Dirichlet data only; the
+theory being exercised is interior.
 
 Alongside the solver live its verification surfaces: reference solutions
 (heat eigenmode, compactly supported self-similar profile for p > 2), the
@@ -273,6 +279,17 @@ def _difference_stencil(n: int, ax: int, h: float) -> tuple:
             (at(slice(-1, None)), at(slice(-1, None)), at(slice(-2, -1)), h))
 
 
+def _dirichlet_ends(n: int, batch: int) -> list[tuple]:
+    """(interior end, its Dirichlet node) per end of each of the trailing n
+    axes, axis by axis, under batch leading axes: the first indexes both the
+    interior values and the couplings of the faces that touch an interior
+    node, the second the values with their frame. Indexed without an
+    Ellipsis, so a 1D end reads as a scalar."""
+    lead, inner = (slice(None),) * batch, (slice(1, -1),)
+    return [(lead + (slice(None),) * ax + (end,), lead + inner * ax + (end,) + inner * (n - 1 - ax))
+            for ax in range(n) for end in (0, -1)]
+
+
 class _StepOperator:
     """The discrete operator of one step from the lagged field u, whose
     trailing n axes are space (leading axes are a batch). Its arrays are
@@ -283,9 +300,9 @@ class _StepOperator:
     averaged onto the axis-ax faces that touch an interior node; diag is the
     diagonal of the step matrix I - scale div(D grad .) on interior nodes.
     scratch, of diag's shape, is overwritten by refill and apply and free
-    between calls; the preconditioner transforms through it too. _ends holds
-    (couplings, interior end, its Dirichlet node) per axis end for
-    add_boundary, indexed without an Ellipsis so a 1D end reads as a scalar.
+    between calls; the 3D preconditioner transforms through it too. _ends
+    holds (couplings, interior end, its Dirichlet node) per axis end
+    (_dirichlet_ends) for add_boundary.
     """
 
     def __init__(self, u: np.ndarray, n: int, h: float, p: float, eps: float, scale: float):
@@ -303,17 +320,14 @@ class _StepOperator:
         self.scratch = g.reshape(-1)[:math.prod(interior)].reshape(interior)
         self.couplings = []
         self._faces = []  # per axis: D on both sides of each face, its coupling and their ends
-        self._ends = []
-        lead, inner = (slice(None),) * batch, (slice(1, -1),)
         for ax in range(n):
             lo, hi = _shifted(n, ax)
             nodes = d[_on_axis(n, ax, slice(None), slice(1, -1))]
             c = np.empty(nodes[lo].shape)
             self.couplings.append(c)
             self._faces.append((nodes[lo], nodes[hi], c, c[lo], c[hi]))
-            for end in (0, -1):
-                self._ends.append((c, lead + (slice(None),) * ax + (end,),
-                                   lead + inner * ax + (end,) + inner * (n - 1 - ax)))
+        self._ends = [(self.couplings[i // 2], at_end, dirichlet)
+                      for i, (at_end, dirichlet) in enumerate(_dirichlet_ends(n, batch))]
         self.refill(u)
 
     def refill(self, u: np.ndarray) -> None:
@@ -376,60 +390,144 @@ def _dst_basis(m: int) -> np.ndarray:
     return math.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
 
 
-def _dst_all_axes(v: np.ndarray, work: np.ndarray, basis: np.ndarray, n: int) -> np.ndarray:
-    """Apply basis along each of the trailing n (2 or 3) cube axes of v by plain
+def _dst_all_axes(v: np.ndarray, work: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Apply basis along each of the three trailing cube axes of v by plain
     matmuls, leading axes a batch, ping-ponging between v and work (both
-    overwritten); returns the one holding the result."""
+    overwritten); returns work, which holds the result."""
     m = basis.shape[0]
-    rest = m ** (n - 1)
-    np.matmul(basis, v.reshape(-1, m, rest), out=work.reshape(-1, m, rest))  # first axis
-    v, work = work, v
-    if n == 3:
-        np.matmul(basis, v.reshape(-1, m, m), out=work.reshape(-1, m, m))  # middle axis
-        v, work = work, v
+    np.matmul(basis, v.reshape(-1, m, m * m), out=work.reshape(-1, m, m * m))  # first axis
+    np.matmul(basis, work.reshape(-1, m, m), out=v.reshape(-1, m, m))  # middle axis
     np.matmul(v.reshape(-1, m), basis, out=work.reshape(-1, m))  # last axis
     return work
 
 
-def _sine_transform(m: int, n: int, batch: int):
-    """dst(v): the orthonormal DST-I, its own inverse, of v in place along its
-    trailing n axes of m nodes, for at most batch leading rows. In 1D it is
-    the real FFT of each row's odd extension, so no m x m basis is built; in
-    2D and 3D, _dst_basis matmuls along every axis. The odd extension and
-    the matmul workspace are allocated once."""
-    if n > 1:
-        basis, work = _dst_basis(m), np.empty((batch,) + (m,) * n)
-
-        def dst(v: np.ndarray) -> np.ndarray:
-            res = _dst_all_axes(v, work[:len(v)], basis, n)
-            if res is not v:  # three axes end in work
-                v[...] = res
-            return v
-
-        return dst
-    odd = np.zeros((batch, 2 * m + 2))  # rows (0, v, 0, -reversed v)
-    scale = -1.0 / math.sqrt(2.0 * (m + 1))
-
-    def dst(v: np.ndarray) -> np.ndarray:
-        b = len(v)
-        odd[:b, 1:m + 1] = v
-        np.negative(v[:, ::-1], out=odd[:b, m + 2:])
-        return np.multiply(np.fft.rfft(odd[:b])[:, 1:m + 1].imag, scale, out=v)
-
-    return dst
+def _fold(v: np.ndarray, halves: tuple) -> None:
+    """Fold the m = 2h + 1 rows (second-last axis) of v into halves = (sum,
+    difference) of h + 1 rows: sum[i] = v[i] + v[m - 1 - i] for i < h and
+    sum[h] = v[h], difference[i] = v[i] - v[m - 1 - i] for i < h;
+    difference[h] is left as it is."""
+    h = v.shape[-2] // 2
+    lo, hi = v[..., :h, :], v[..., :h:-1, :]
+    total, diff = halves
+    np.add(lo, hi, out=total[..., :h, :])
+    total[..., h, :] = v[..., h, :]
+    np.subtract(lo, hi, out=diff[..., :h, :])
 
 
-def _laplacian_eigenvalues(m: int, n: int) -> np.ndarray:
-    """sum_ax lambda_k, lambda_k = 2 - 2 cos(k pi / (m + 1)): the eigenvalues of
-    the negative Dirichlet Laplacian on the m^n interior cube in the DST-I
-    basis, whose eigenvalues the lambda_k are per axis."""
-    lam = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, m + 1) / (m + 1))
-    return sum(lam.reshape([-1 if a == ax else 1 for a in range(n)]) for ax in range(n))
+def _unfold(halves: tuple, v: np.ndarray) -> None:
+    """The inverse pairing of _fold: v[i] = sum[i] + difference[i] and
+    v[m - 1 - i] = sum[i] - difference[i] for i < h, v[h] = sum[h]."""
+    h = v.shape[-2] // 2
+    total, diff = halves
+    s, d = total[..., :h, :], diff[..., :h, :]
+    np.add(s, d, out=v[..., :h, :])
+    v[..., h, :] = total[..., h, :]
+    np.subtract(s, d, out=v[..., :h:-1, :])
+
+
+class _SineTransform:
+    """The orthonormal DST-I, its own inverse, along the trailing n axes (m
+    nodes each) of arrays with at most batch leading rows.
+
+    forward(v) returns the spectrum of v and may overwrite v; inverse(c)
+    takes a spectrum that forward returned, overwrites it, writes its values
+    into the array forward was last given and returns that array.
+    eigenvalues holds the sums over the axes of lambda_k = 2 - 2 cos(k pi /
+    (m + 1)), the per-axis eigenvalues of the negative Dirichlet Laplacian
+    in the DST-I basis, laid out as the spectrum is.
+
+    1D: the real FFT of each row's odd extension, in place, so no m x m
+    basis is built. 3D: _dst_all_axes, ping-ponging through work, which is
+    allocated unless given; there the folding passes over the cube cost
+    about what halving the flops saves.
+
+    2D: the sine matrix S folded by its row parity, for odd m (every
+    centred grid has that). Row k of S (k = 1..m) is even about the middle
+    column for odd k and odd about it for even k, so once v is folded
+    (_fold) along both axes the odd rows act on the sum halves only and the
+    even rows on the difference halves only: every transform takes matmuls
+    of w = (m + 1) / 2 rows, half the flops of the two m x m ones. Every
+    fold runs along rows, the other axis through transposed matmul
+    operands. The spectrum stays in that folded order, with the layout
+    (batch, 2, w, 2, w): entry (b, l, a, i) is the coefficient of
+    wavenumber 2i + a + 1 along the first axis and 2l + b + 1 along the
+    second, the parity halves padded with one zero at i or l = w - 1.
+    """
+
+    def __init__(self, m: int, n: int, batch: int, work: np.ndarray | None = None):
+        self._n, self._last = n, None
+        lam = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, m + 1) / (m + 1))
+        if n == 1:
+            self._odd = np.zeros((batch, 2 * m + 2))  # rows (0, v, 0, -reversed v)
+            self._scale = -1.0 / math.sqrt(2.0 * (m + 1))
+            self.eigenvalues = lam
+        elif n == 2:
+            if m % 2 == 0:
+                raise ValueError(f"the folded sine transform needs an odd number of "
+                                 f"interior nodes per axis, got {m}")
+            w = (m + 1) // 2
+            basis = _dst_basis(m)
+            rows = np.zeros((2, w, w))  # the odd rows of S on the sum half, the even on the difference
+            rows[0], rows[1, :-1, :-1] = basis[0::2, :w], basis[1::2, :w - 1]
+            self._rows, self._rows_t = rows, np.ascontiguousarray(rows.transpose(0, 2, 1))
+            # zeros, so the padding that the zero rows and columns of the
+            # factors skip is finite
+            self._halves = np.zeros((batch, 2, w, m))  # folded along the first axis
+            self._halves_t = np.zeros((batch, m, 2, w))  # and transformed, second axis first
+            self._quads = np.zeros((batch, 2, w, 2, w))  # folded along the second axis too
+            self._spectrum = np.zeros((batch, 2, w, 2, w))
+            parity = np.zeros((2, w))
+            parity[0], parity[1, :-1] = lam[0::2], lam[1::2]
+            self.eigenvalues = parity[:, :, None, None] + parity[None, None, :, :]
+        else:
+            self._basis = _dst_basis(m)
+            self._work = np.empty((batch,) + (m,) * n) if work is None else work
+            self.eigenvalues = sum(lam.reshape([-1 if a == ax else 1 for a in range(n)])
+                                   for ax in range(n))
+
+    def forward(self, v: np.ndarray) -> np.ndarray:
+        b, self._last = len(v), v
+        if self._n == 1:
+            m, odd = v.shape[1], self._odd[:b]
+            odd[:, 1:m + 1] = v
+            np.negative(v[:, ::-1], out=odd[:, m + 2:])
+            return np.multiply(np.fft.rfft(odd)[:, 1:m + 1].imag, self._scale, out=v)
+        if self._n == 3:
+            return _dst_all_axes(v, self._work[:b], self._basis)
+        halves, halves_t, quads, spectrum = self._buffers(b)
+        m, w = v.shape[-1], self._rows.shape[-1]
+        folded = quads.reshape(b, 2, w, 2 * w)  # rows (b, l) of first-axis (a, i)
+        _fold(v, (halves[:, 0], halves[:, 1]))
+        np.matmul(halves.transpose(0, 1, 3, 2), self._rows_t, out=halves_t.transpose(0, 2, 1, 3))
+        _fold(halves_t.reshape(b, m, 2 * w), (folded[:, 0], folded[:, 1]))
+        np.matmul(self._rows[:, None], quads.transpose(0, 1, 3, 2, 4),
+                  out=spectrum.transpose(0, 1, 3, 2, 4))
+        return spectrum
+
+    def inverse(self, c: np.ndarray) -> np.ndarray:
+        v = self._last
+        if self._n == 1:
+            return self.forward(c)
+        if self._n == 3:
+            return _dst_all_axes(c, v, self._basis)
+        b = len(c)
+        halves, halves_t, quads, _ = self._buffers(b)
+        m, w = v.shape[-1], self._rows.shape[-1]
+        folded = quads.reshape(b, 2, w, 2 * w)
+        np.matmul(self._rows_t[:, None], c.transpose(0, 1, 3, 2, 4), out=quads.transpose(0, 1, 3, 2, 4))
+        _unfold((folded[:, 0], folded[:, 1]), halves_t.reshape(b, m, 2 * w))
+        np.matmul(halves_t.transpose(0, 2, 1, 3), self._rows, out=halves.transpose(0, 1, 3, 2))
+        _unfold((halves[:, 0], halves[:, 1]), v)
+        return v
+
+    def _buffers(self, b: int) -> tuple:
+        return self._halves[:b], self._halves_t[:b], self._quads[:b], self._spectrum[:b]
 
 
 def _inverse_eigenvalues(eigenvalues: np.ndarray, c: float, out: np.ndarray) -> np.ndarray:
-    """1 / (1 + c * eigenvalues) into out: with _laplacian_eigenvalues, the
-    inverse of I + c * (negative Dirichlet Laplacian) in the DST-I basis."""
+    """1 / (1 + c * eigenvalues) into out: with the eigenvalues of a
+    _SineTransform, the inverse of I + c * (negative Dirichlet Laplacian)
+    in its spectrum."""
     np.multiply(eigenvalues, c, out=out)
     out += 1.0
     return np.reciprocal(out, out=out)
@@ -444,16 +542,16 @@ class _FastDiagonalPreconditioner:
     Thomas 1964). cbar is the mean coupling and s = sqrt(mean(diag) / diag)
     scales that inverse to the operator's diagonal (Concus & Golub 1973). M
     is symmetric positive definite and, at p = 2, the exact inverse of the
-    step matrix. Calling it with (r, out) writes M^-1 r into out, with the
-    transforms going through op.scratch; refill takes s and cbar again from
-    op's diagonal, so a march refilling its operator builds one
-    preconditioner.
+    step matrix. Calling it with (r, out) writes M^-1 r into out; Phi is the
+    _SineTransform of op's dimension, which in 3D transforms through
+    op.scratch. refill takes s and cbar again from op's diagonal, so a march
+    refilling its operator builds one preconditioner.
     """
 
-    def __init__(self, op: _StepOperator, basis: np.ndarray):
-        self._op, self._basis = op, basis
-        self._eigenvalues = _laplacian_eigenvalues(basis.shape[0], op.n)
-        self._inv_eig = np.empty_like(self._eigenvalues)
+    def __init__(self, op: _StepOperator):
+        self._op = op
+        self._phi = _SineTransform(op.diag.shape[-1], op.n, 1, op.scratch[None])
+        self._inv_eig = np.empty_like(self._phi.eigenvalues)
         self._s = np.empty_like(op.diag)
         self.refill()
 
@@ -461,15 +559,14 @@ class _FastDiagonalPreconditioner:
         diag = self._op.diag
         dbar = float(np.mean(diag))
         np.sqrt(np.divide(dbar, diag, out=self._s), out=self._s)
-        _inverse_eigenvalues(self._eigenvalues, (dbar - 1.0) / (2 * self._op.n), self._inv_eig)
+        _inverse_eigenvalues(self._phi.eigenvalues, (dbar - 1.0) / (2 * self._op.n), self._inv_eig)
 
     def __call__(self, r: np.ndarray, out: np.ndarray) -> None:
-        s, work, basis, n = self._s, self._op.scratch, self._basis, self._op.n
-        np.multiply(s, r, out=out)
-        mid = _dst_all_axes(out, work, basis, n)
-        mid *= self._inv_eig
-        back = _dst_all_axes(mid, work if mid is out else out, basis, n)
-        np.multiply(s, back, out=out)
+        np.multiply(self._s, r, out=out)
+        spectrum = self._phi.forward(out[None])
+        spectrum *= self._inv_eig
+        self._phi.inverse(spectrum)  # back into out
+        out *= self._s
 
 
 # the conjugate-gradient stop of a 2D/3D semi-implicit step at p != 2
@@ -477,16 +574,15 @@ _CG_RTOL = 1e-10  # relative residual
 _CG_MAX_ITERS = 500  # iterations
 
 
-def _pcg(apply_a, b, x, precond, rtol, maxiter, work):
+def _pcg(apply_a, b, x, r, precond, rtol, maxiter, work):
     """Preconditioned conjugate gradients for apply_a(v, out) x = b from the
-    start x; precond(r, out) writes M^-1 r into out. work holds four arrays
-    of b's shape, the residual r, z = M^-1 r, the direction p and A p; they
-    and x are updated in place, so the loop's only temporaries are those
+    start x, whose residual b - A x r holds on entry, so the loop starts
+    without an apply; precond(r, out) writes M^-1 r into out. work holds
+    three more arrays of b's shape, z = M^-1 r, the direction p and A p; they,
+    r and x are updated in place, so the loop's only temporaries are those
     inside apply_a, and the preconditioner runs only on a residual that has
     not converged. Returns (x, iterations)."""
-    r, z, p, ap = work
-    apply_a(x, r)
-    np.subtract(b, r, out=r)
+    z, p, ap = work
     bnorm = float(np.linalg.norm(b))
     target = rtol * (bnorm if bnorm > 0 else 1.0)
     for it in range(maxiter + 1):
@@ -513,6 +609,63 @@ def _pcg(apply_a, b, x, precond, rtol, maxiter, work):
         f"inner linear solve did not reach rtol={rtol} in {maxiter} iterations "
         f"(residual {float(np.linalg.norm(r)):.3e}, rhs norm {bnorm:.3e})"
     )
+
+
+# a 2D/3D step at p != 2 starts from the last this many solved slices
+_START_SLICES = 3
+# row i: the slice weights of the start's basis vector i, the newest slice
+# and its first and second backward differences
+_BACKWARD_DIFFERENCES = np.array([[1.0, 0.0, 0.0], [1.0, -1.0, 0.0], [1.0, -2.0, 1.0]])
+
+
+def _projected_start(apply_a, b, slices, x, r, work):
+    """Write into x the start of a conjugate-gradient step and into r its
+    residual b - A x (Fischer 1998).
+
+    slices holds the interior values of the last k <= len(work) solved
+    slices, newest first, and x is the combination of them whose image
+    under A is closest to b. Its coefficients c are taken in the basis of
+    the newest slice and its first and second backward differences, which
+    keeps the k x k normal equations well conditioned when successive
+    slices are close, and solve those equations scaled to a unit diagonal.
+    The basis's products with A go into work (in a step, CG's z, p and Ap,
+    free until CG starts), so every inner product runs on contiguous arrays
+    and r follows from the products without another apply; r holds each
+    difference before its apply. When the system is singular or its
+    solution is not finite, x is the newest slice alone.
+    """
+    k = len(slices)
+    products = work[:k]
+    apply_a(slices[0], products[0])
+    if k > 1:
+        np.subtract(slices[0], slices[1], out=r)
+        apply_a(r, products[1])
+    if k > 2:
+        np.subtract(r, slices[1], out=r)
+        r += slices[2]
+        apply_a(r, products[2])
+    gram = np.array([[float(np.vdot(a, c)) for c in products] for a in products])
+    proj = np.array([float(np.vdot(a, b)) for a in products])
+    c = np.zeros(k)
+    c[0] = 1.0
+    diag = np.diag(gram)
+    if diag.min() > 0.0 and np.isfinite(gram).all() and np.isfinite(proj).all():
+        s = 1.0 / np.sqrt(diag)
+        try:
+            y = np.linalg.solve(gram * np.outer(s, s), proj * s)
+        except np.linalg.LinAlgError:
+            y = None
+        if y is not None and np.isfinite(y).all():
+            c = y * s
+    weights = _BACKWARD_DIFFERENCES[:k, :k].T @ c
+    np.multiply(slices[0], weights[0], out=x)
+    for sl, w in zip(slices[1:], weights[1:]):
+        x += np.multiply(sl, w, out=r)
+    for prod, ci in zip(products, c):
+        prod *= ci
+    np.subtract(b, products[0], out=r)
+    for prod in products[1:]:
+        r -= prod
 
 
 class _CyclicReduction:
@@ -596,21 +749,25 @@ class _CyclicReduction:
         return out
 
 
-def _step_solver(op: _StepOperator, basis: np.ndarray | None):
-    """step_solve(rhs, x) solves the step matrix that op holds at the call
-    against rhs into x, which holds the start: by a cyclic-reduction plan in
-    1D, by preconditioned conjugate gradients in 2D and 3D, with the
-    preconditioner refilled from op and the iteration's arrays allocated
-    once. Built once per march."""
+def _step_solver(op: _StepOperator):
+    """step_solve(rhs, x, solved) solves the step matrix that op holds at the
+    call against rhs into x: by a cyclic-reduction plan in 1D; in 2D and 3D
+    by preconditioned conjugate gradients from _projected_start on the last
+    _START_SLICES slices of solved (the slices marched so far, oldest first),
+    with the preconditioner refilled from op and the iteration's arrays
+    allocated once. Built once per march."""
     if op.n == 1:
         plan, coupling = _CyclicReduction(op.diag.size), op.couplings[0][1:-1]
-        return lambda rhs, x: plan.solve(op.diag, coupling, rhs, x)
-    precond = _FastDiagonalPreconditioner(op, basis)
-    work = tuple(np.empty_like(op.diag) for _ in range(4))
+        return lambda rhs, x, solved: plan.solve(op.diag, coupling, rhs, x)
+    precond = _FastDiagonalPreconditioner(op)
+    r, *work = (np.empty_like(op.diag) for _ in range(4))
+    inner = (slice(1, -1),) * op.n
 
-    def step_solve(rhs, x):
+    def step_solve(rhs, x, solved):
         precond.refill()
-        _pcg(op.apply, rhs, x, precond, _CG_RTOL, _CG_MAX_ITERS, work)
+        slices = [s[inner] for s in solved[:-_START_SLICES - 1:-1]]
+        _projected_start(op.apply, rhs, slices, x, r, work)
+        _pcg(op.apply, rhs, x, r, precond, _CG_RTOL, _CG_MAX_ITERS, work)
 
     return step_solve
 
@@ -637,31 +794,32 @@ def _sine_march(out: np.ndarray, grid: SpaceTimeGrid, boundary_at, source_at) ->
     n, dt, times = grid.n, grid.dt, grid.times()
     m = grid.nodes_per_axis - 2
     inner = (slice(None),) + (slice(1, -1),) * n
-    op = _StepOperator(np.zeros((1,) + grid.spatial_shape), n, grid.h, 2.0, 0.0, dt)
-    mu = _laplacian_eigenvalues(m, n)
-    _inverse_eigenvalues(mu, dt / (grid.h * grid.h), mu)
-    # the transform's workspace holds at most _CHUNK_NODES values (in 1D, the
-    # odd extension and its spectrum, that is four per node of a slice) and
-    # no more slices than the march has
-    width = math.prod(grid.spatial_shape) * (4 if n == 1 else 1)
+    coupling = dt / (grid.h * grid.h)  # every face's: 0.5 (D + D) dt / h^2 with D = 1
+    # the transform's workspace holds at most _CHUNK_NODES values (in 1D the
+    # odd extension and its spectrum, in 2D the folds and the spectrum, that
+    # is about four per node of a slice) and no more slices than the march has
+    width = math.prod(grid.spatial_shape) * (1 if n == 3 else 4)
     chunk = min(grid.num_times - 1, max(1, _CHUNK_NODES // width))
-    dst = _sine_transform(m, n, chunk)
+    phi = _SineTransform(m, n, chunk)
+    mu = _inverse_eigenvalues(phi.eigenvalues, coupling, np.empty_like(phi.eigenvalues))
     q = np.empty((chunk,) + (m,) * n)
-    prev = dst(out[:1][inner].copy())[0]  # the last slice marched, in sine coordinates
+    prev = phi.forward(out[:1][inner].copy())[0].copy()  # the last slice marched, in sine coordinates
     for j in range(1, grid.num_times, chunk):
         block = out[j:j + chunk]
         qb = q[:len(block)]
         for k in range(len(block)):
             block[k] = boundary_at(times[j + k])
         np.multiply(dt, source_at((slice(j, j + len(block)),) + inner[1:]), out=qb)
-        op.add_boundary(qb, block)
+        for at_end, dirichlet in _dirichlet_ends(n, 1):
+            qb[at_end] += coupling * block[dirichlet]
+        spectrum = phi.forward(qb)
         last = prev
-        for qk in dst(qb):
+        for qk in spectrum:
             qk += last
             qk *= mu
             last = qk
         np.copyto(prev, last)
-        block[inner] = dst(qb)
+        block[inner] = phi.inverse(spectrum)
         if not (np.isfinite(block.max()) and np.isfinite(block.min())):
             bad = j + next(k for k in range(len(block)) if not np.isfinite(block[k]).all())
             raise SolverError(f"step {bad} (t = {times[bad]:.6g}): solution is not finite")
@@ -679,8 +837,9 @@ def solve(
     unconditionally stable, first order in dt and second in h. At p = 2 the
     step matrix never changes and the march runs in its sine eigenbasis
     (_sine_march), exact to rounding; otherwise one operator, one step
-    solver (_step_solver: direct in 1D, conjugate gradients in 2D and 3D)
-    and one right-hand side are allocated per solve and refilled each step.
+    solver (_step_solver: direct in 1D, conjugate gradients from a start
+    projected onto the last solved slices in 2D and 3D) and one right-hand
+    side are allocated per solve and refilled each step.
     The source is read through _source_reader, so no space-time source
     field is built for zero, constant or separable-power kinds.
     Explicit: forward Euler, guarded by dt <= 0.9 h^2 / (2 n max D).
@@ -712,7 +871,6 @@ def solve(
     if p == 2.0 and not explicit:
         _sine_march(out, grid, boundary_at, source_at)
         return GridFunction._adopt(grid, out)
-    basis = None if explicit or grid.n == 1 else _dst_basis(grid.nodes_per_axis - 2)
     op = step_solve = rhs = None
     for m in range(1, grid.num_times):
         try:
@@ -720,7 +878,7 @@ def solve(
                 if op is None:  # one operator, step solver and right-hand side per solve
                     op = _StepOperator(u, grid.n, h, p, eps, dt)
                     if not explicit:
-                        step_solve, rhs = _step_solver(op, basis), np.empty(op.diag.shape)
+                        step_solve, rhs = _step_solver(op), np.empty(op.diag.shape)
                 else:
                     op.refill(u)
                 cmax = max(float(c.max()) for c in op.couplings) if explicit else 0.0
@@ -736,8 +894,7 @@ def solve(
                 np.multiply(dt, source_at((m,) + inner), out=rhs)
                 rhs += u[inner]  # u + dt f: addition commutes exactly
                 op.add_boundary(rhs, u_new)
-                u_new[inner] = u[inner]  # the start, solved in place
-                step_solve(rhs, u_new[inner])
+                step_solve(rhs, u_new[inner], out[:m])
             if not np.isfinite(u_new).all():
                 raise SolverError("solution is not finite")
         except CflError:

@@ -153,3 +153,37 @@ def test_bench_alternates_sides_and_records_each_runs_child_cpu_seconds(monkeypa
     assert [p["change"]["cpu_s"] for p in report["pairs"]] == [1.0, 1.5, 0.5]
     assert report["cpu_s_median"] == {"parent": 2.5, "change": 1.0}
     assert set(report["summary"]) == {"wall_s", "op_ms_p90"}  # a reading, not a gated metric
+
+
+def test_bench_runs_every_declared_workload_and_records_each_checkouts_commit(monkeypatch, tmp_path):
+    bench = load_script("bench")
+    assert bench.benchmark_workloads() == [
+        w["name"] for w in json.loads(bench.BENCHMARK.read_text())["workloads"]]
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t"]
+    repos = {}
+    for side in bench.SIDES:
+        repo = tmp_path / side
+        repo.mkdir()
+        subprocess.run(git + ["init", "-q"], cwd=repo, check=True)
+        (repo / "a.txt").write_text(side)
+        subprocess.run(git + ["add", "a.txt"], cwd=repo, check=True)
+        subprocess.run(git + ["commit", "-q", "-m", side], cwd=repo, check=True)
+        repos[side] = repo
+    (repos["change"] / "a.txt").write_text("edited")  # the change's tree is dirty
+    ran = []
+
+    def fake_bench(parent, change, workload, pairs, seed, seconds):
+        ran.append(workload)
+        return {"workload": workload}
+
+    monkeypatch.setattr(bench, "bench", fake_bench)
+    out = tmp_path / "report.json"
+    assert bench.main(["--parent", str(repos["parent"]), "--change", str(repos["change"]),
+                       "--pairs", "2", "--out", str(out)]) == 0
+    assert ran == bench.benchmark_workloads()
+    report = json.loads(out.read_text())
+    assert list(report["workloads"]) == ran
+    for side, clean in (("parent", True), ("change", False)):
+        head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repos[side], capture_output=True,
+                              text=True, check=True).stdout.strip()
+        assert report["checkouts"][side] == {"commit": head, "clean": clean}
