@@ -453,6 +453,16 @@ def test_the_folded_2d_sine_transform_is_the_sine_matrix_in_folded_order(m):
         _SineTransform(8, 2, 1)
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_a_2d_solve_needs_a_node_at_the_centre(p):
+    # three intervals per axis leave two interior nodes, which the folded
+    # transform cannot pair
+    g = SpaceTimeGrid(n=2, extent=1.0, h=2 / 3, dt=1e-3, t_start=0.0, t_end=2e-3)
+    with pytest.raises(ValueError, match="odd number of interior nodes per axis, got 2"):
+        solve(g, SolveConfig(p=p, boundary=BoundarySpec(kind="zero")), SourceSpec(kind="zero"),
+              np.zeros(g.spatial_shape))
+
+
 @pytest.mark.parametrize("n, m", [(2, 9), (3, 5)])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_preconditioner_is_symmetric_positive_definite(n, m, seed):
