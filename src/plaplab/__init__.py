@@ -19,7 +19,6 @@ from .grids import (
     Region,
     SpaceTimeGrid,
     anisotropic_norm,
-    energy_norm,
     read_binary,
     sup_oscillation,
     write_binary,
@@ -29,7 +28,6 @@ from .cylinders import (
     RescaledProblem,
     corrected_cylinder,
     critical_zone,
-    intrinsic_cylinder,
     rescale_outside,
 )
 from .solver import (

@@ -383,16 +383,18 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
 
 def _given_centers(blk: dict, grid: SpaceTimeGrid) -> list | None:
-    """The probe.centers list as (x, t) pairs on the grid, or None to pick extrema."""
-    if not blk.get("centers"):
-        return None
-    if not isinstance(blk["centers"], list):
+    """The probe.centers list as (x, t) pairs on the grid, or None to pick
+    extrema when it is absent or empty."""
+    centers = blk.get("centers", [])
+    if not isinstance(centers, list):
         raise ConfigError("probe.centers", "expected a list of centers")
+    if not centers:
+        return None
     n = grid.n
     label = "[" + ", ".join(f"x_{a}" for a in range(1, n + 1)) + ", t]"
     axes = [grid.axis_nodes()] * n + [grid.times()]
     rows = []
-    for i, c in enumerate(blk["centers"]):
+    for i, c in enumerate(centers):
         if not (isinstance(c, list) and len(c) == n + 1):
             raise ConfigError(f"probe.centers[{i}]", f"expected a list of {n + 1} numbers {label}")
         row = [_number(v, f"probe.centers[{i}][{k}]") for k, v in enumerate(c)]
@@ -447,11 +449,10 @@ def run_probe(cfg: ExperimentConfig, out_dir: Path) -> dict:
     K = _num(blk, "K", "probe", default=6, integer=True)
     with _block_errors("probe"):
         probe.check_levels(lam, K)
+    max_centers = _num(blk, "max_centers", "probe", default=4, integer=True)
+    if max_centers < 1:
+        raise ConfigError("probe.max_centers", f"must be at least 1, got {max_centers}")
     centers = _given_centers(blk, grid)
-    if centers is None:
-        max_centers = _num(blk, "max_centers", "probe", default=4, integer=True)
-        if max_centers < 1:
-            raise ConfigError("probe.max_centers", f"must be at least 1, got {max_centers}")
     sc = _require(cfg, "solve_config", "solve")
     initial = _initial_field(cfg, grid)
     u = solver.solve(grid, sc, cfg.source, initial)

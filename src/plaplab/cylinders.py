@@ -20,7 +20,7 @@ functions; unrestricted concurrency is safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,24 +55,6 @@ class Cylinder:
             t_start=self.center_t - self.depth,
             t_end=self.center_t,
         )
-
-
-def intrinsic_cylinder(center, rho: float, params: ProblemParams, grad_mag: float) -> Cylinder:
-    """Uncorrected cylinder of radius rho and depth rho**theta."""
-    if not (0.0 < rho < 1.0):
-        raise ValueError(f"rho must lie in (0, 1), got {rho}")
-    th = theta(params, grad_mag, rho)
-    x0, t0 = center
-    return Cylinder(
-        center_x=tuple(np.atleast_1d(np.asarray(x0, dtype=float))),
-        center_t=float(t0),
-        rho=rho,
-        theta_eff=th,
-        depth=rho**th,
-        theta=th,
-        sigma=1.0,
-        k=1,
-    )
 
 
 def corrected_cylinder(
@@ -159,7 +141,6 @@ class RescaledProblem:
 
     v: GridFunction
     tau: float
-    certificates: dict = field(default_factory=dict)
 
 
 def _snap_onto(x, lo: float, hi: float):
@@ -248,10 +229,7 @@ def rescale_outside(u: GridFunction, center, params: ProblemParams) -> RescaledP
     |y| <= ext, -depth <= s <= 0 (ext, depth <= 1, clipped by the domain)
     carries a grid with u's node counts, and v is built on its window
     (`_window`) only: a profile of v at the origin has lambda < 1/2 and a
-    depth under 1/4, so it reads nothing else. The rescaled source picks up
-    the factor tau^(1 - alpha(p-1)); its integrability exponent
-    1 - alpha(p-1) - (n/q + gamma/r) is nonnegative for admissible
-    parameters and returned in the certificates.
+    depth under 1/4, so it reads nothing else.
     """
     grid = u.grid
     x0 = np.atleast_1d(np.asarray(center[0], dtype=float))
@@ -275,17 +253,4 @@ def rescale_outside(u: GridFunction, center, params: ProblemParams) -> RescaledP
     if ext <= 0.0 or depth <= 0.0:
         raise ValueError("tau-cylinder does not fit inside the solution domain")
     v = _resample(u, x0, t0, tau, tau**gamma, tau ** (-(1.0 + alpha)), u0, ext, depth)
-    source_exponent = (
-        1.0
-        - alpha * (params.p - 1.0)
-        - (params.n * (0.0 if math.isinf(params.q) else 1.0 / params.q)
-           + gamma * (0.0 if math.isinf(params.r) else 1.0 / params.r))
-    )
-    # from v's memo, where a profile of v at the origin finds them
-    v_at_origin, grad_v = _center_point(v, np.zeros(grid.n), 0.0)
-    certificates = {
-        "v_at_origin": v_at_origin,
-        "grad_v_at_origin": float(np.sqrt(np.sum(grad_v * grad_v))),
-        "source_exponent": source_exponent,
-    }
-    return RescaledProblem(v=v, tau=tau, certificates=certificates)
+    return RescaledProblem(v=v, tau=tau)

@@ -91,14 +91,6 @@ class ProblemParams:
         if not (0.0 < self.alpha_h <= 1.0):
             raise FieldError("alpha_h", f"must lie in (0, 1], got {self.alpha_h}")
 
-    @property
-    def degenerate(self) -> bool:
-        return self.p > 2.0
-
-    @property
-    def singular(self) -> bool:
-        return self.p < 2.0
-
 
 @dataclass(frozen=True)
 class CompatibilityReport:
@@ -281,8 +273,7 @@ class LayerReport:
     alpha_eps is authoritative (direct substitution of the constructed
     (q, r) into the sharp exponent formula); alpha_closed_form reports the
     degenerate-branch closed form 2 eps / (2(p-1) - (p-2)(1-s) eps) as a
-    cross-check (None on the singular branch). band_level is the distance
-    to the borderline this layer family tracks; it equals eps.
+    cross-check (None on the singular branch).
     """
 
     branch: str
@@ -292,12 +283,6 @@ class LayerReport:
     r: float
     alpha_eps: float
     alpha_closed_form: float | None
-    band_level: float
-
-
-def singular_band_level(p: float, n: int, q: float, r: float) -> float:
-    """Layer functional n r / ((r-1) q) + 2/(r-1) - (2-p) of the singular branch."""
-    return n * r / ((r - 1.0) * q) + 2.0 / (r - 1.0) - (2.0 - p)
 
 
 def epsilon_layers(params: ProblemParams, s: float, eps: float, branch: str) -> LayerReport:
@@ -325,7 +310,6 @@ def epsilon_layers(params: ProblemParams, s: float, eps: float, branch: str) -> 
             2.0 * eps / (2.0 * (p - 1.0) - (p - 2.0) * (1.0 - s) * eps),
             params.alpha_h,
         )
-        level = 1.0 - _band(n, q_eps, r_eps)
     elif branch == "singular":
         if not p < 2.0:
             raise ValueError("singular branch requires p < 2")
@@ -333,7 +317,6 @@ def epsilon_layers(params: ProblemParams, s: float, eps: float, branch: str) -> 
         r_eps = 2.0 / (s * x) + 1.0
         q_eps = n * r_eps / ((r_eps - 1.0) * (1.0 - s) * x)
         closed = None
-        level = singular_band_level(p, n, q_eps, r_eps)
     else:
         raise ValueError(f"unknown branch {branch!r}")
 
@@ -353,7 +336,6 @@ def epsilon_layers(params: ProblemParams, s: float, eps: float, branch: str) -> 
         r=r_eps,
         alpha_eps=alpha_eps,
         alpha_closed_form=closed,
-        band_level=level,
     )
 
 

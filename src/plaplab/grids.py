@@ -434,18 +434,6 @@ def anisotropic_norm(f: GridFunction, q: float, r: float, region: Region) -> flo
     return _weighted_norm(slice_vals, tw, r)
 
 
-def energy_norm(u: GridFunction, p: float, region: Region) -> float:
-    """max-over-slices spatial L2 plus the space-time L^p norm of the gradient."""
-    blk, tw, sw = region.quadrature(u.grid)
-    if not (sw > 0).any():
-        raise ValueError("region contains no spatial nodes")
-    space = tuple(range(1, u.grid.n + 1))
-    sup_l2 = float(np.max(np.sum(u.values[blk.index] ** 2 * sw, axis=space) ** 0.5))
-    g = u.gradient_on(blk.index)
-    gmag = np.sqrt(np.sum(g * g, axis=0))
-    return sup_l2 + _integral(gmag**p, tw, sw) ** (1.0 / p)
-
-
 def _at_center(u: GridFunction, x0: np.ndarray, t0: float, key, build):
     """The entry key of u's one-center memo at the center (x0, t0).
 

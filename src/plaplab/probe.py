@@ -56,7 +56,6 @@ class ProfileEntry:
 class OscillationProfile:
     center_x: tuple[float, ...]
     center_t: float
-    lam: float
     mode: str
     grad_mag: float
     entries: tuple[ProfileEntry, ...]
@@ -158,7 +157,6 @@ def oscillation_profile(
     return OscillationProfile(
         center_x=tuple(float(v) for v in x0),
         center_t=t0,
-        lam=lam,
         mode=mode,
         grad_mag=gmag,
         entries=tuple(entries),

@@ -402,27 +402,30 @@ def _dst_all_axes(v: np.ndarray, work: np.ndarray, basis: np.ndarray) -> np.ndar
 
 
 def _fold(v: np.ndarray, halves: tuple) -> None:
-    """Fold the m = 2h + 1 rows (second-last axis) of v into halves = (sum,
-    difference) of h + 1 rows: sum[i] = v[i] + v[m - 1 - i] for i < h and
-    sum[h] = v[h], difference[i] = v[i] - v[m - 1 - i] for i < h;
-    difference[h] is left as it is."""
+    """Fold the m rows (second-last axis) of v into halves = (sum,
+    difference): with h = m // 2, sum[i] = v[i] + v[m - 1 - i] and
+    difference[i] = v[i] - v[m - 1 - i] for i < h, and for odd m also
+    sum[h] = v[h], the middle row; the halves' rows past those are left
+    as they are."""
     h = v.shape[-2] // 2
-    lo, hi = v[..., :h, :], v[..., :h:-1, :]
+    lo, hi = v[..., :h, :], v[..., ::-1, :][..., :h, :]
     total, diff = halves
     np.add(lo, hi, out=total[..., :h, :])
-    total[..., h, :] = v[..., h, :]
+    if v.shape[-2] % 2:
+        total[..., h, :] = v[..., h, :]
     np.subtract(lo, hi, out=diff[..., :h, :])
 
 
 def _unfold(halves: tuple, v: np.ndarray) -> None:
     """The inverse pairing of _fold: v[i] = sum[i] + difference[i] and
-    v[m - 1 - i] = sum[i] - difference[i] for i < h, v[h] = sum[h]."""
+    v[m - 1 - i] = sum[i] - difference[i] for i < h, and v[h] = sum[h] for odd m."""
     h = v.shape[-2] // 2
     total, diff = halves
     s, d = total[..., :h, :], diff[..., :h, :]
     np.add(s, d, out=v[..., :h, :])
-    v[..., h, :] = total[..., h, :]
-    np.subtract(s, d, out=v[..., :h:-1, :])
+    if v.shape[-2] % 2:
+        v[..., h, :] = total[..., h, :]
+    np.subtract(s, d, out=v[..., ::-1, :][..., :h, :])
 
 
 class _SineTransform:
@@ -441,17 +444,18 @@ class _SineTransform:
     allocated unless given; there the folding passes over the cube cost
     about what halving the flops saves.
 
-    2D: the sine matrix S folded by its row parity, for odd m (every
-    centred grid has that). Row k of S (k = 1..m) is even about the middle
-    column for odd k and odd about it for even k, so once v is folded
-    (_fold) along both axes the odd rows act on the sum halves only and the
-    even rows on the difference halves only: every transform takes matmuls
-    of w = (m + 1) / 2 rows, half the flops of the two m x m ones. Every
+    2D: the sine matrix S folded by its row parity. Row k of S (k = 1..m)
+    is even about the middle of its columns for odd k and odd about it for
+    even k, whatever the parity of m, so once v is folded (_fold) along
+    both axes the odd rows act on the sum halves only and the even rows on
+    the difference halves only: every transform takes matmuls of
+    w = (m + 1) // 2 rows, half the flops of the two m x m ones. Every
     fold runs along rows, the other axis through transposed matmul
     operands. The spectrum stays in that folded order, with the layout
     (batch, 2, w, 2, w): entry (b, l, a, i) is the coefficient of
     wavenumber 2i + a + 1 along the first axis and 2l + b + 1 along the
-    second, the parity halves padded with one zero at i or l = w - 1.
+    second; for odd m the difference halves are padded with one zero at i
+    or l = w - 1.
     """
 
     def __init__(self, m: int, n: int, batch: int, work: np.ndarray | None = None):
@@ -462,13 +466,10 @@ class _SineTransform:
             self._scale = -1.0 / math.sqrt(2.0 * (m + 1))
             self.eigenvalues = lam
         elif n == 2:
-            if m % 2 == 0:
-                raise ValueError(f"the folded sine transform needs an odd number of "
-                                 f"interior nodes per axis, got {m}")
-            w = (m + 1) // 2
+            w, h = (m + 1) // 2, m // 2
             basis = _dst_basis(m)
             rows = np.zeros((2, w, w))  # the odd rows of S on the sum half, the even on the difference
-            rows[0], rows[1, :-1, :-1] = basis[0::2, :w], basis[1::2, :w - 1]
+            rows[0], rows[1, :h, :h] = basis[0::2, :w], basis[1::2, :h]
             self._rows, self._rows_t = rows, np.ascontiguousarray(rows.transpose(0, 2, 1))
             # zeros, so the padding that the zero rows and columns of the
             # factors skip is finite
@@ -477,7 +478,7 @@ class _SineTransform:
             self._quads = np.zeros((batch, 2, w, 2, w))  # folded along the second axis too
             self._spectrum = np.zeros((batch, 2, w, 2, w))
             parity = np.zeros((2, w))
-            parity[0], parity[1, :-1] = lam[0::2], lam[1::2]
+            parity[0], parity[1, :h] = lam[0::2], lam[1::2]
             self.eigenvalues = parity[:, :, None, None] + parity[None, None, :, :]
         else:
             self._basis = _dst_basis(m)

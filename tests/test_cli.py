@@ -308,6 +308,17 @@ def test_solver_failure_exit_code(tmp_path):
     assert main(["solve", str(path), "--out", str(tmp_path / "boom")]) == 3
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_a_2d_solve_with_no_centre_node_exits_ok(tmp_path, p):
+    # 17 intervals per axis leave 16 interior nodes, none of them at the centre
+    cfg = json.loads(json.dumps(SOLVE_CFG))
+    cfg["params"] = {"p": p, "n": 2, "q": 8.0, "r": 8.0, "alpha_h": 1.0}
+    cfg["grid"] = {"h": 2 / 17, "dt": 1e-3, "t_end": 5e-3}
+    path = write_config(tmp_path, cfg)
+    assert main(["solve", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert read_binary(tmp_path / "out" / "solution.bin").values.shape == (6, 18, 18)
+
+
 def test_non_finite_explicit_step_exits_as_a_solver_failure(tmp_path, capsys, monkeypatch):
     # a config cannot hold NaN, so the initial field is broken behind its back
     cfg = json.loads(json.dumps(SOLVE_CFG))
@@ -375,10 +386,18 @@ BAD_FIELDS = [
      "probe.max_centers: must be at least 1, got -1"),
     ("probe", {"probe": {"centers": []}}, "probe.max_centers", 0,
      "probe.max_centers: must be at least 1, got 0"),
+    # with centers given, which leave max_centers unused but still checked
+    ("probe", {}, "probe.max_centers", "abc", "probe.max_centers"),
+    ("probe", {}, "probe.max_centers", 0.0, "probe.max_centers: must be at least 1, got 0"),
+    ("probe", {}, "probe.max_centers", 2.5, "probe.max_centers: expected an integer, got 2.5"),
     ("probe", {}, "probe.centers", [[0.0, math.nan]], "probe.centers[0][1]"),
     ("probe", {}, "probe.centers", [[]], "probe.centers[0]: expected a list of 2 numbers"),
     ("probe", {}, "probe.centers", [[0.0, 0.05], [5]], "probe.centers[1]: expected a list of 2 numbers"),
     ("probe", {}, "probe.centers", 5, "probe.centers: expected a list of centers"),
+    ("probe", {}, "probe.centers", 0, "probe.centers: expected a list of centers"),
+    ("probe", {}, "probe.centers", False, "probe.centers: expected a list of centers"),
+    ("probe", {}, "probe.centers", {}, "probe.centers: expected a list of centers"),
+    ("probe", {}, "probe.centers", None, "probe.centers: expected a list of centers"),
     ("probe", {}, "probe.centers", [[0.0]], "probe.centers[0]: expected a list of 2 numbers [x_1, t]"),
     ("probe", {}, "probe.lambda", 0.7, "probe.lambda: must lie in (0, 1/2), got 0.7"),
     ("probe", {}, "probe.K", 2, "probe.K: need at least 4 dyadic levels, got 2"),

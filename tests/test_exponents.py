@@ -16,7 +16,6 @@ from plaplab.exponents import (
     kappa_exponent,
     mu_ceiling,
     sharp_exponents,
-    singular_band_level,
     theta,
     theta_bounds,
 )
@@ -208,6 +207,25 @@ def test_alpha_hat_joint_limit():
     assert prev_gap < 1e-5
 
 
+def test_rescaled_source_exponent_is_nonnegative():
+    # the gradient-scale rescaling multiplies the source by tau^(1 - alpha(p-1));
+    # its integrability exponent 1 - alpha(p-1) - (n/q + gamma/r) is >= 0
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(40):
+        p = float(rng.uniform(2.0, 4.0))
+        n = int(rng.integers(1, 4))
+        q = float(rng.uniform(n + 0.5, 60.0))
+        r = float(rng.uniform(2.5, 60.0))
+        params = ProblemParams(p=p, n=n, q=q, r=r, alpha_h=1.0)
+        if not check_compatibility(params).admissible:
+            continue
+        exps = sharp_exponents(params)
+        assert 1.0 - exps.alpha * (p - 1.0) - (n / q + exps.gamma / r) >= -1e-12
+        checked += 1
+    assert checked > 0
+
+
 # ---------------------------------------------------------------------------
 # theta
 
@@ -331,18 +349,20 @@ def test_kappa_arrangement_discrepancy(params, s):
 # epsilon layers
 
 def test_singular_layer_level_identity():
+    # the singular branch's layer functional n r / ((r-1) q) + 2/(r-1) - (2-p)
     params = ProblemParams(p=1.5, n=2, q=8.0, r=8.0, alpha_h=1.0)
     for eps in (0.2, 0.1, 0.05, 0.01):
         rep = epsilon_layers(params, s=0.5, eps=eps, branch="singular")
-        assert singular_band_level(1.5, 2, rep.q, rep.r) == pytest.approx(eps, abs=1e-12)
-        assert rep.band_level == pytest.approx(eps, abs=1e-12)
+        level = 2 * rep.r / ((rep.r - 1.0) * rep.q) + 2.0 / (rep.r - 1.0) - (2.0 - 1.5)
+        assert level == pytest.approx(eps, abs=1e-12)
 
 
 def test_degenerate_layer_level_is_eps():
+    # the band functional 1 - (n/q + 2/r)
     params = ProblemParams(p=3.0, n=2, q=8.0, r=8.0, alpha_h=1.0)
     for eps in (0.2, 0.05):
         rep = epsilon_layers(params, s=0.5, eps=eps, branch="degenerate")
-        assert rep.band_level == pytest.approx(eps, abs=1e-12)
+        assert 1.0 - (2 / rep.q + 2.0 / rep.r) == pytest.approx(eps, abs=1e-12)
 
 
 def test_degenerate_layers_vanish():

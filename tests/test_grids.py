@@ -12,7 +12,6 @@ from plaplab.grids import (
     RegionBlock,
     SpaceTimeGrid,
     anisotropic_norm,
-    energy_norm,
     full_domain_region,
     initial_slice_mean_power,
     origin_cell_mean_radial_power,
@@ -284,13 +283,6 @@ def test_ball_weights_3d_counting():
     assert abs(np.sum(w) - 4.0 / 3.0 * np.pi * 0.6**3) < 0.1
 
 
-def test_energy_norm_2d_constant():
-    g = small_grid(n=2, h=1 / 8, dt=1 / 8, t_end=1.0)
-    region = Region(center=(0.0, 0.0), half_widths=(0.5, 0.5), t_start=0.0, t_end=1.0)
-    const = GridFunction(g, np.full(g.shape, 1.3))
-    assert energy_norm(const, 3.0, region) == pytest.approx(1.3, rel=1e-12)
-
-
 def test_origin_cell_mean_3d_subgrid_consistency():
     # corner quadrature has a sharp radial cutoff, so refinement in the
     # subcell count settles at the few-per-mille level
@@ -306,30 +298,6 @@ def test_norm_rejects_empty_region():
     with pytest.raises(ValueError):
         bad = Region(center=(0.0,), half_widths=(0.5,), t_start=5.0, t_end=6.0)
         anisotropic_norm(f, 2.0, 2.0, bad)
-
-
-# ---------------------------------------------------------------------------
-# energy norm
-
-def test_energy_norm_zero_and_constant():
-    g = small_grid(h=1 / 16, dt=1 / 64, t_end=1.0)
-    region = Region(center=(0.0,), half_widths=(0.5,), t_start=0.0, t_end=1.0)
-    zero = GridFunction(g, np.zeros(g.shape))
-    assert energy_norm(zero, 2.0, region) == 0.0
-    const = GridFunction(g, np.full(g.shape, 1.7))
-    assert energy_norm(const, 2.0, region) == pytest.approx(1.7, rel=1e-12)
-
-
-def test_energy_norm_affine_gradient_term():
-    g = small_grid(h=1 / 32, dt=1 / 64, t_end=1.0)
-    a = 0.6
-    u = GridFunction.from_callable(g, lambda x, t: a * x)
-    region = Region(center=(0.0,), half_widths=(0.5,), t_start=0.0, t_end=1.0)
-    p = 3.0
-    got = energy_norm(u, p, region)
-    sup_l2 = (a * a * (0.5**3 * 2 / 3)) ** 0.5  # integral of (ax)^2 over [-1/2,1/2]
-    grad_term = a * 1.0 ** (1 / p)  # |a| * measure^(1/p), unit measure
-    assert got == pytest.approx(sup_l2 + grad_term, rel=1e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""Every module-level import of the library is used, and every module-level
-private name (`_x`) of the library is read somewhere in it.
+"""Every module-level import of the library is used, every module-level
+private name (`_x`) of the library is read somewhere in it, and every public
+function, class, method and property of the library is read by a program:
+the library, the scripts, the benchmark or the acceptance suite.
 
 No linter ships with the project, so these stdlib checks stand in for one.
-`__init__.py` is exempt from the import check: it only re-exports.
+`__init__.py` is exempt from the import check, and its re-exports are not
+reads: it only re-exports.
 """
 
 import ast
@@ -10,9 +13,13 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "plaplab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "plaplab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 PACKAGE = sorted(SRC.glob("*.py"))
+# the programs besides the library whose reads count for its public names
+READERS = (sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+           + [ROOT / "tests" / "test_acceptance.py"])
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -79,3 +86,59 @@ def test_the_private_name_check_sees_an_unread_name():
 
 def test_every_module_level_private_name_is_read():
     assert _unread_private_names([path.read_text() for path in PACKAGE]) == []
+
+
+def _public_definitions(tree: ast.Module) -> set[str]:
+    """The public functions and classes the module's top level defines, and
+    the public methods and properties of those classes, as Class.name."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            names.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                names.update(f"{node.name}.{item.name}" for item in node.body
+                             if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
+    return names
+
+
+def _span_target_reads(source: str) -> set[str]:
+    """The names in the dotted attributes of the TARGETS that a traced
+    benchmark run wraps (perfbench/spans.py), such as Region and space_mask."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets):
+            return {name for _, attr, *_ in ast.literal_eval(node.value) for name in attr.split(".")}
+    return set()
+
+
+def _unread_public_names(library: list[str], readers: list[str]) -> list[str]:
+    trees = [ast.parse(source) for source in library]
+    defined = set().union(*map(_public_definitions, trees))
+    read = set().union(*map(_reads, trees + [ast.parse(source) for source in readers]),
+                       *map(_span_target_reads, readers))
+    return sorted(name for name in defined if name.split(".")[-1] not in read)
+
+
+# public names that no program reads, each kept for its reason
+UNREAD_PUBLIC = {
+    "kappa_exponent": "ROADMAP item 12 decides whether the sup-normalizing exponents stay",
+    "mu_ceiling": "ROADMAP item 12 decides whether the sup-normalizing exponents stay",
+    "GridFunction.from_callable": "a helper of four test files; ROADMAP item 14 found that "
+                                  "moving it to conftest adds lines",
+    "PointwiseReport.vacuous": "README documents it as a report field (ROADMAP item 4)",
+}
+
+
+def test_the_public_name_check_sees_an_unread_name():
+    module = ("def f():\n    return g()\n\ndef g():\n    pass\n\ndef h():\n    pass\n\n"
+              "class K:\n    def m(self):\n        pass\n\n    @property\n    def p(self):\n"
+              "        return 1\n\n    def _q(self):\n        pass\n")
+    spans = 'TARGETS = (("pkg.mod", "K.m", "mod.m", None),)\n'
+    assert _unread_public_names([module], []) == ["K", "K.m", "K.p", "f", "h"]
+    assert _unread_public_names([module], [spans, "from pkg import f\nx = y.p\n"]) == ["h"]
+
+
+def test_every_public_name_is_read_by_a_program_or_kept_for_a_reason():
+    unread = set(_unread_public_names([path.read_text() for path in MODULES],
+                                      [path.read_text() for path in READERS]))
+    assert sorted(unread - UNREAD_PUBLIC.keys()) == []  # read by no program, kept for no reason
+    assert sorted(UNREAD_PUBLIC.keys() - unread) == []  # kept for a reason, yet read after all

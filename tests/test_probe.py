@@ -262,7 +262,7 @@ def _center_results(u, center, params=HEAT, levels=K):
     reports.append(check_pointwise_c1alpha(u, center, params, LAM, levels))
     if not reports[-1].critical:
         out = rescale_outside(u, center, params)
-        reports.append((out.certificates, out.tau, out.v.values.tobytes()))
+        reports.append((out.tau, out.v.values.tobytes()))
     return reports
 
 

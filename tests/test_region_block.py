@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plaplab.cylinders import Cylinder, critical_zone
-from plaplab.grids import GridFunction, Region, SpaceTimeGrid, anisotropic_norm, energy_norm
+from plaplab.grids import GridFunction, Region, SpaceTimeGrid, anisotropic_norm
 from plaplab.probe import _interp_noise_floor, _realized_radius, p_caloric_proximity
 from plaplab.solver import (
     BoundarySpec,
@@ -138,17 +138,6 @@ def _anisotropic_norm_by_slices(f, q, r, region):
     if np.isinf(r):
         return float(np.max(slice_vals))
     return float(np.sum(slice_vals**r * tw) ** (1.0 / r))
-
-
-def _energy_norm_by_slices(u, p, region):
-    idx, tw = _time_weights_by_rule(region, u.grid)
-    sw = _space_weights_by_meshgrid(region, u.grid)
-    sup_l2 = grad_acc = 0.0
-    for j, w_t in zip(idx, tw):
-        sup_l2 = max(sup_l2, float(np.sum(u.values[j] ** 2 * sw) ** 0.5))
-        g = _gradient_by_slices(u, j)
-        grad_acc += w_t * float(np.sum(np.sqrt(np.sum(g * g, axis=0)) ** p * sw))
-    return sup_l2 + grad_acc ** (1.0 / p)
 
 
 def _critical_zone_by_slices(u, rho, alpha, region):
@@ -337,8 +326,6 @@ def test_region_block_reductions_match_the_per_slice_references(n, seed, ball, s
     if (sw > 0).any():
         for q, r in ((2.0, 2.0), (1.5, np.inf), (3.0, 1.0)):
             _close(anisotropic_norm(u, q, r, region), _anisotropic_norm_by_slices(u, q, r, region))
-    for p in (1.5, 2.0, 3.0):
-        _close(energy_norm(u, p, region), _energy_norm_by_slices(u, p, region))
 
 
 @settings(max_examples=25, deadline=None)
@@ -399,7 +386,6 @@ def test_each_region_integral_builds_the_space_block_once(monkeypatch, ball):
     calls = {
         "anisotropic_norm, finite q": (lambda: anisotropic_norm(u, 2.0, 3.0, region), 1),
         "anisotropic_norm, q = inf": (lambda: anisotropic_norm(u, np.inf, 3.0, region), 1),
-        "energy_norm": (lambda: energy_norm(u, 2.0, region), 1),
         "weak_residual": (lambda: weak_residual(u, source, cutoff, region, 2.0), 1),
         "make_source": (lambda: make_source(source, g), 1),
         # its region's block and the whole domain's, for the source norm

@@ -433,7 +433,7 @@ def _folded_order(z):
     return out
 
 
-@pytest.mark.parametrize("m", [1, 3, 9, 15, 127])
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 9, 15, 16, 127, 128])
 def test_the_folded_2d_sine_transform_is_the_sine_matrix_in_folded_order(m):
     rng = np.random.default_rng(m)
     v = rng.standard_normal((3, m, m))
@@ -449,18 +449,48 @@ def test_the_folded_2d_sine_transform_is_the_sine_matrix_in_folded_order(m):
     back = phi.inverse(spectrum)
     assert back is given
     assert np.max(np.abs(back - v[:2])) <= 1e-13 * m
-    with pytest.raises(ValueError, match="odd number of interior nodes per axis, got 8"):
-        _SineTransform(8, 2, 1)
+
+
+def _march_dense_reference(grid, config, source, initial):
+    # the 2D/3D semi-implicit march with every step solved exactly: a fresh
+    # operator each step, written out as a dense matrix column by column
+    p, eps, h, dt, times = config.p, config.resolved_eps(grid), grid.h, grid.dt, grid.times()
+    inner = (slice(1, -1),) * grid.n
+    shape = (grid.nodes_per_axis - 2,) * grid.n
+    source_at = _source_reader(source, grid)
+    out = np.empty(grid.shape)
+    out[0] = config.boundary.evaluate(grid, times[0], p)
+    out[0][inner] = initial[inner]
+    for m in range(1, len(times)):
+        op = _StepOperator(out[m - 1], grid.n, h, p, eps, dt)
+        out[m] = config.boundary.evaluate(grid, times[m], p)
+        rhs = out[m - 1][inner] + dt * source_at((m,) + inner)
+        op.add_boundary(rhs, out[m])
+        out[m][inner] = np.linalg.solve(_dense(op.apply, rhs.size, shape), rhs.ravel()).reshape(shape)
+    return out
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
-def test_a_2d_solve_needs_a_node_at_the_centre(p):
-    # three intervals per axis leave two interior nodes, which the folded
-    # transform cannot pair
-    g = SpaceTimeGrid(n=2, extent=1.0, h=2 / 3, dt=1e-3, t_start=0.0, t_end=2e-3)
-    with pytest.raises(ValueError, match="odd number of interior nodes per axis, got 2"):
-        solve(g, SolveConfig(p=p, boundary=BoundarySpec(kind="zero")), SourceSpec(kind="zero"),
-              np.zeros(g.spatial_shape))
+@pytest.mark.parametrize("h", [2 / 3, 2 / 17])
+def test_a_2d_solve_with_no_centre_node_matches_a_dense_march(h, p):
+    # an odd number of intervals per axis leaves an even number m of interior
+    # nodes (2 and 16 here), so no node sits at the centre. The bound was
+    # fixed before the first run: at p = 2 the sine march takes the dense
+    # march's steps, rounded differently (_assert_march_close); at p = 3 each
+    # conjugate-gradient step stops at residual 1e-10 ||b||_2 and the step
+    # matrix is at least I, so a step errs by at most 1e-10 m max|b|, and the
+    # 5 steps at m <= 16 by under 1e-8 max(1, max|u|)
+    g = box_grid(2, h, 1e-3, 5)
+    bd = _boundary("affine", 2)
+    init = bd.evaluate(g, 0.0, p) + 0.1 * np.random.default_rng(3).standard_normal(g.spatial_shape)
+    cfg = SolveConfig(p=p, boundary=bd)
+    src = SourceSpec(kind="constant", c=0.7)
+    got = solve(g, cfg, src, init).values
+    want = _march_dense_reference(g, cfg, src, init)
+    if p == 2.0:
+        _assert_march_close(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-8 * max(1.0, float(np.max(np.abs(want))))
 
 
 @pytest.mark.parametrize("n, m", [(2, 9), (3, 5)])
